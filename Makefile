@@ -68,7 +68,6 @@ cover:
 
 fuzz:
 	go test ./internal/dataflow -run '^$$' -fuzz FuzzTiling -fuzztime=10s
-	go test ./internal/sim -run '^$$' -fuzz FuzzRunBatch -fuzztime=10s
 	go test ./internal/serve -run '^$$' -fuzz FuzzSimulateRequest -fuzztime=10s
 	go test ./internal/serve/fabric -run '^$$' -fuzz FuzzLeaseRequest -fuzztime=10s
 	go test ./internal/serve/fabric -run '^$$' -fuzz FuzzResultUpload -fuzztime=10s

@@ -1,13 +1,13 @@
 // Command spacx-serve runs the simulator as a long-lived service: a
 // stdlib-only HTTP API answering accelerator × model × mode × batch
 // what-if queries from a shared simulation core with request coalescing,
-// fingerprint-keyed result caching, micro-batching, and bounded-queue
+// fingerprint-keyed result caching, a bounded worker pool, and bounded-queue
 // backpressure.
 //
 // Usage:
 //
 //	spacx-serve -http 127.0.0.1:8080
-//	spacx-serve -http 127.0.0.1:8080 -j 8 -queue 128 -max-batch 32 -batch-window 2ms
+//	spacx-serve -http 127.0.0.1:8080 -j 8 -queue 128
 //
 // Endpoints (see README.md "Serving" and "Jobs & Tracing"):
 //
@@ -63,8 +63,6 @@ type options struct {
 	httpAddr   string
 	jobs       int
 	queue      int
-	maxBatch   int
-	window     time.Duration
 	cache      int
 	maxReqBat  int
 	sweepCap   int
@@ -89,10 +87,8 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.httpAddr, "http", "127.0.0.1:8080", "serve the API and observability endpoints on this address")
-	flag.IntVar(&o.jobs, "j", runtime.NumCPU(), "simulation workers per micro-batch")
+	flag.IntVar(&o.jobs, "j", runtime.NumCPU(), "simulation worker goroutines draining the admission queue")
 	flag.IntVar(&o.queue, "queue", 64, "admission queue depth; beyond it requests get 429")
-	flag.IntVar(&o.maxBatch, "max-batch", 16, "most queries coalesced into one engine batch")
-	flag.DurationVar(&o.window, "batch-window", 0, "how long to wait for stragglers before dispatching a batch (0 = immediate)")
 	flag.IntVar(&o.cache, "cache", 512, "response cache capacity (entries)")
 	flag.IntVar(&o.maxReqBat, "max-request-batch", 256, "largest accepted per-request batch size")
 	flag.IntVar(&o.sweepCap, "sweep-points", 64, "largest accepted /v1/sweep grid")
@@ -128,12 +124,6 @@ func validate(o options) error {
 	}
 	if o.queue < 1 {
 		return fmt.Errorf("-queue must be >= 1, got %d", o.queue)
-	}
-	if o.maxBatch < 1 {
-		return fmt.Errorf("-max-batch must be >= 1, got %d", o.maxBatch)
-	}
-	if o.window < 0 {
-		return fmt.Errorf("-batch-window must be >= 0, got %v", o.window)
 	}
 	if o.cache < 1 {
 		return fmt.Errorf("-cache must be >= 1, got %d", o.cache)
@@ -189,8 +179,8 @@ func run(o options) error {
 	// show up on /metrics alongside the serve metrics.
 	exp.SetRecorder(reg)
 
-	// hardCtx is the second-signal abort: cancelling it abandons engine
-	// batch items that have not started.
+	// hardCtx is the second-signal abort: cancelling it fails queued
+	// simulations that have not started.
 	hardCtx, hardCancel := context.WithCancel(context.Background())
 	defer hardCancel()
 
@@ -216,8 +206,6 @@ func run(o options) error {
 	svc := serve.New(serve.Options{
 		Workers:         o.jobs,
 		QueueDepth:      o.queue,
-		MaxBatch:        o.maxBatch,
-		BatchWindow:     o.window,
 		CacheEntries:    o.cache,
 		MaxRequestBatch: o.maxReqBat,
 		MaxSweepPoints:  o.sweepCap,

@@ -2,7 +2,7 @@
 // registers with a spacx-serve coordinator (started with -fabric), pulls
 // leased batches of sweep points over the /fabric/v1/ wire protocol,
 // computes them through its own local simulation core — the same response
-// LRU, layer memoization, and micro-batching engine the server uses, kept
+// LRU, layer memoization, and worker pool the server uses, kept
 // hot per shard by the coordinator's consistent-hash routing — and uploads
 // the outcomes. Results are byte-identical to a local run by construction.
 //
@@ -130,7 +130,6 @@ func run(o options) error {
 	// would have locally.
 	svc := serve.New(serve.Options{
 		Workers:      o.jobs,
-		MaxBatch:     o.jobs,
 		CacheEntries: o.cache,
 		Recorder:     reg,
 		Traces:       traces,

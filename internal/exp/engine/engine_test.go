@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -148,6 +149,61 @@ func TestCacheReset(t *testing.T) {
 	}
 	if !recomputed {
 		t.Error("reset did not drop the entry")
+	}
+}
+
+// seeded reads key's memoized result through Do with a compute func that
+// fails the test: the value must already be in the cache.
+func seeded[K comparable, V any](t *testing.T, c *Cache[K, V], key K) (V, error) {
+	t.Helper()
+	return c.Do(key, func() (V, error) {
+		t.Fatalf("Do recomputed seeded key %v", key)
+		var zero V
+		return zero, nil
+	})
+}
+
+func TestCachePutAndCached(t *testing.T) {
+	var c Cache[string, int]
+	c.Put("a", 42, nil)
+	if v, err := seeded(t, &c, "a"); err != nil || v != 42 {
+		t.Fatalf("Do after Put = %d, %v", v, err)
+	}
+	// First writer wins; a later Put loses to the existing entry.
+	c.Put("a", 7, nil)
+	if v, _ := seeded(t, &c, "a"); v != 42 {
+		t.Fatalf("second Put must lose: got %d", v)
+	}
+	// A seeded error is memoized like a computed one.
+	boom := errors.New("boom")
+	c.Put("b", 0, boom)
+	if _, err := seeded(t, &c, "b"); err != boom {
+		t.Fatalf("Do must return the seeded error, got %v", err)
+	}
+	if c.Len() != 2 {
+		t.Errorf("cache holds %d keys, want 2", c.Len())
+	}
+}
+
+func TestCachePutConcurrentWithDo(t *testing.T) {
+	var c Cache[int, int]
+	var wg sync.WaitGroup
+	for g := 0; g < 32; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				c.Put(1, 5, nil)
+			} else {
+				if v, err := c.Do(1, func() (int, error) { return 5, nil }); err != nil || v != 5 {
+					t.Errorf("Do = %d, %v", v, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if v, err := seeded(t, &c, 1); err != nil || v != 5 {
+		t.Fatalf("Do after the race = %d, %v", v, err)
 	}
 }
 

@@ -242,8 +242,8 @@ func ForEachPhase(ctx context.Context, ph *Phase, workers, n int, fn func(i int)
 		ctx = context.Background()
 	}
 	// A traced caller sees the whole phase fan-out as one span, named after
-	// the phase — on the serving path this is where batch execution time
-	// becomes attributable per request.
+	// the phase — on the serving path this is where an async sweep's fan-out
+	// time becomes attributable to its job.
 	ctx, sp := tracing.StartSpan(ctx, "engine:"+ph.name)
 	defer sp.End()
 	ph.Begin(n)

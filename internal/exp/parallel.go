@@ -140,12 +140,6 @@ func runModelCached(acc sim.Accelerator, m dnn.Model, mode sim.Mode) (sim.ModelR
 // normalization folds then walk the grid in the original sequential order;
 // sweep names the progress phase and metric labels the points land under.
 func runGrid(sweep string, models []dnn.Model, accs []sim.Accelerator, mode sim.Mode) ([][]sim.ModelResult, error) {
-	// Batched prepass: when the grid's points share mapping cohorts, evaluate
-	// the distinct uncached layers through sim.RunBatch and seed the layer
-	// cache; the per-model aggregation below then only replays cache hits.
-	if pts := gridPoints(models, accs, mode); useBatch(pts) {
-		primeLayers(pts)
-	}
 	flat, err := mapPoints(sweep, len(models)*len(accs), func(i int) (sim.ModelResult, error) {
 		m := models[i/len(accs)]
 		acc := accs[i%len(accs)]

@@ -47,7 +47,7 @@ func (r *SweepRun) Len() int { return len(r.points) }
 
 // resolvePoint answers one sweep point through the service's full resolve
 // path — loss budget, response cache, singleflight, admission queue,
-// micro-batching. Queue-full rejections are retried with the Retry-After
+// worker pool. Queue-full rejections are retried with the Retry-After
 // backoff: background sweep work is deliberately last in line behind
 // interactive traffic. The three outcomes are disjoint: a body (success), a
 // deterministic point-level error string (the same string every replica of
@@ -95,7 +95,7 @@ func (r *SweepRun) Run(ctx context.Context, ph *engine.Phase) (result []byte, fa
 	if c := r.svc.opts.Fabric; c != nil && c.Workers() > 0 {
 		return r.runFabric(ctx, ph, c)
 	}
-	runErr := engine.ForEachPhase(ctx, ph, r.svc.opts.MaxBatch, len(r.queries), func(i int) error {
+	runErr := engine.ForEachPhase(ctx, ph, r.svc.opts.Workers, len(r.queries), func(i int) error {
 		return r.resolveInto(ctx, i)
 	})
 	if runErr != nil {

@@ -40,7 +40,7 @@ var sweepBody = []byte(`{"models":["alexnet","mobilenetv2"],"accels":["spacx","s
 // newService builds and starts one simulation core, optionally fabric-fanned.
 func newService(t *testing.T, coord *fabric.Coordinator) *serve.Service {
 	t.Helper()
-	svc := serve.New(serve.Options{Workers: 4, MaxBatch: 4, Fabric: coord})
+	svc := serve.New(serve.Options{Workers: 4, Fabric: coord})
 	ctx, cancel := context.WithCancel(context.Background())
 	svc.Start(ctx)
 	t.Cleanup(func() { svc.Close(); cancel() })

@@ -76,7 +76,7 @@ func (r *SweepRun) runFabric(ctx context.Context, ph *engine.Phase, c *fabric.Co
 // both. engine.ForEach is used bare because Begin/End and per-point
 // accounting are managed by the caller.
 func (r *SweepRun) fillLocal(ctx context.Context, ph *engine.Phase, missing []int, started []bool) error {
-	return engine.ForEach(ctx, r.svc.opts.MaxBatch, len(missing), func(k int) error {
+	return engine.ForEach(ctx, r.svc.opts.Workers, len(missing), func(k int) error {
 		i := missing[k]
 		if started == nil || !started[i] {
 			ph.PointStart()
@@ -89,7 +89,7 @@ func (r *SweepRun) fillLocal(ctx context.Context, ph *engine.Phase, missing []in
 // ComputePoint is the serve-backed fabric.ComputeFunc a worker runs leased
 // points through: it decodes the point's SimulateRequest spec and answers it
 // from this process's full resolve path — response LRU, singleflight,
-// admission queue, micro-batching, layer memo — which is exactly what keeps
+// admission queue, worker pool, layer memo — which is exactly what keeps
 // a worker's caches hot for its consistent-hash shard.
 //
 // Spec problems (undecodable, unknown catalog names, over-limit batch)

@@ -51,7 +51,7 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // histogram (labeled by endpoint and final status code), and — when the
 // service has a trace collector — a per-request trace: the root span covers
 // the whole handler, the X-Spacx-Trace response header names it, and every
-// downstream layer (admission queue, batch scheduler, engine, simulator)
+// downstream layer (admission queue, worker pool, engine, simulator)
 // hangs child spans off the request context. The jobs subsystem mounts its
 // endpoints through this same wrapper so every /v1 response is traced.
 func (s *Service) Instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
@@ -123,7 +123,7 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 }
 
 // handleSimulate answers POST /v1/simulate: one (model, accel, mode, batch)
-// query through the cache, singleflight, and micro-batching pipeline. The
+// query through the cache, singleflight, and worker-pool pipeline. The
 // X-Spacx-Cache trailer-free header reports hit/coalesced/miss.
 func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -189,7 +189,7 @@ type SweepResponse struct {
 
 // handleSweep answers POST /v1/sweep by fanning the grid through the same
 // resolve path as /v1/simulate — every point is cached, coalesced, and
-// batched identically, so a sweep warms the cache for later point queries.
+// queued identically, so a sweep warms the cache for later point queries.
 // Per-point failures (including queue overflow) land in the point's error
 // field; the grid itself must validate.
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {

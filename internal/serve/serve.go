@@ -1,9 +1,9 @@
 // Package serve is the simulation-as-a-service layer: a long-running,
 // stdlib-only HTTP surface that answers what-if queries (accelerator ×
 // model × residency mode × batch) from a shared, concurrency-safe
-// simulation core built on the pieces the batch CLIs already use — the
-// experiment engine's worker pool, fingerprint-keyed memoization, and the
-// observability registry.
+// simulation core built on the pieces the CLIs already use — the experiment
+// engine's fan-out and fingerprint-keyed memoization, and the observability
+// registry.
 //
 // Architecture, request path first:
 //
@@ -16,25 +16,25 @@
 //   - Singleflight: duplicate queries that arrive while the first is still
 //     in flight coalesce onto one computation; everyone gets the one
 //     result.
-//   - Micro-batching: a scheduler goroutine coalesces queued jobs (up to
-//     MaxBatch, waiting BatchWindow for stragglers) and fans each batch
-//     across the experiment engine's worker pool — the latency/throughput
-//     knob of the service.
+//   - Worker pool: Workers goroutines drain the admission queue, each
+//     running one job at a time to completion, so a slow query occupies
+//     only the worker running it.
 //   - Layer memoization: inside a simulation, per-layer evaluations are
 //     memoized exactly like the experiment drivers', so distinct queries
 //     that share (accelerator, layer, mode) points share the work.
 //
-// Lifecycle: Start launches the scheduler under a context; Close stops
-// admission, drains every queued job, and returns once the scheduler has
+// Lifecycle: Start launches the worker pool under a context; Close stops
+// admission, drains every queued job, and returns once every worker has
 // exited — the graceful half of a SIGTERM. Cancelling the Start context is
-// the hard half: unstarted batch items are abandoned via the engine's
-// context plumbing and their waiters get a shutdown error.
+// the hard half: jobs not yet started are failed without running and their
+// waiters get a shutdown error.
 package serve
 
 import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"time"
 
 	"spacx/internal/dnn"
@@ -49,20 +49,13 @@ import (
 
 // Options tunes the service; every zero field gets a sensible default.
 type Options struct {
-	// Workers is the engine worker count per micro-batch (<= 0 means
+	// Workers is the number of goroutines draining the admission queue,
+	// and the fan-out of sweeps run through the service (<= 0 means
 	// runtime.GOMAXPROCS(0)).
 	Workers int
 	// QueueDepth bounds the admission queue; enqueue attempts beyond it are
 	// rejected with 429 (<= 0 means 64).
 	QueueDepth int
-	// MaxBatch is the most requests one engine batch coalesces (<= 0 means
-	// 16; 1 disables micro-batching).
-	MaxBatch int
-	// BatchWindow is how long the scheduler waits for stragglers after the
-	// first job of a batch arrives. 0 dispatches immediately, coalescing
-	// only what is already queued — lowest latency; larger windows trade
-	// latency for throughput.
-	BatchWindow time.Duration
 	// CacheEntries is the response LRU capacity (<= 0 means 512).
 	CacheEntries int
 	// LayerCacheMax bounds the per-layer memoization cache; when exceeded
@@ -71,12 +64,6 @@ type Options struct {
 	// MaxRequestBatch is the largest accepted per-request batch size
 	// (<= 0 means 256).
 	MaxRequestBatch int
-	// BatchPoints is the smallest number of distinct uncached layer points a
-	// coalesced micro-batch must carry before the scheduler primes the layer
-	// cache through the batched kernel (sim.RunBatch) instead of letting the
-	// per-job runs evaluate them one by one. 0 means the default (32); < 0
-	// disables the batched path entirely.
-	BatchPoints int
 	// MaxSweepPoints caps the /v1/sweep grid (<= 0 means 64).
 	MaxSweepPoints int
 	// RetryAfter is the backpressure hint returned with 429/503 responses
@@ -84,7 +71,7 @@ type Options struct {
 	RetryAfter time.Duration
 	// Recorder receives the service's metrics (nil means none). Use the
 	// same *obs.Registry the observability server exposes so queue depths,
-	// cache ratios, batch sizes, and latencies land on /metrics.
+	// cache ratios, and latencies land on /metrics.
 	Recorder obs.Recorder
 	// Progress optionally tracks served points as the "serve" phase of the
 	// live /progress endpoint.
@@ -114,12 +101,6 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
 	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 16
-	}
-	if o.BatchWindow < 0 {
-		o.BatchWindow = 0
-	}
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 512
 	}
@@ -128,9 +109,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRequestBatch <= 0 {
 		o.MaxRequestBatch = 256
-	}
-	if o.BatchPoints == 0 {
-		o.BatchPoints = defaultBatchPoints
 	}
 	if o.MaxSweepPoints <= 0 {
 		o.MaxSweepPoints = 64
@@ -169,13 +147,12 @@ type Service struct {
 	draining chan struct{} // closed by Close before quit
 }
 
-// job is one admitted query travelling from the handler to the scheduler.
+// job is one admitted query travelling from the handler to a worker.
 type job struct {
-	q         query
-	f         *flight
-	ctx       context.Context // the admitting request's context: carries its trace
-	qspan     *tracing.Span   // open queue-wait span, ended when a batch picks the job up
-	delivered bool            // set by the batch worker; read after the batch barrier
+	q     query
+	f     *flight
+	ctx   context.Context // the admitting request's context: carries its trace
+	qspan *tracing.Span   // open queue-wait span, ended when a worker picks the job up
 }
 
 // New builds a stopped service; call Start before serving requests.
@@ -193,19 +170,30 @@ func New(opts Options) *Service {
 	}
 }
 
-// Start launches the micro-batching scheduler. ctx is the hard-shutdown
-// context: cancelling it abandons batch items that have not started. Start
-// must be called exactly once.
+// Start launches the Workers goroutines that drain the admission queue. ctx
+// is the hard-shutdown context: once it is cancelled, jobs not yet started
+// are failed without running. Start must be called exactly once.
 func (s *Service) Start(ctx context.Context) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	s.ctx = ctx
-	go s.scheduler()
+	var wg sync.WaitGroup
+	wg.Add(s.opts.Workers)
+	for i := 0; i < s.opts.Workers; i++ {
+		go func() {
+			defer wg.Done()
+			s.worker()
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(s.done)
+	}()
 }
 
 // Close stops admission (new queries get 503), drains every queued job to
-// completion, and returns once the scheduler has exited. Safe to call once,
+// completion, and returns once every worker has exited. Safe to call once,
 // after Start.
 func (s *Service) Close() {
 	close(s.draining)
@@ -243,8 +231,8 @@ func (s *Service) resolve(ctx context.Context, q query) (body []byte, src string
 			s.cache.complete(q.key, f, nil, errDraining)
 			return nil, "", errDraining
 		}
-		// The queue-wait span is ended by whichever scheduler goroutine
-		// picks the job up (or fails it), attributing admission latency to
+		// The queue-wait span is ended by whichever worker goroutine picks
+		// the job up (or fails it), attributing admission latency to
 		// this request's trace even though another goroutine measures it.
 		jctx, qsp := tracing.StartSpan(ctx, "queue:wait")
 		j := &job{q: q, f: f, ctx: jctx, qspan: qsp}
@@ -285,102 +273,55 @@ func (s *Service) resolve(ctx context.Context, q query) (body []byte, src string
 	}
 }
 
-// scheduler is the micro-batching loop: one goroutine coalescing queued
-// jobs into engine batches until Close (then it drains) or the hard
-// context cancels (then remaining waiters get the cancellation).
-func (s *Service) scheduler() {
-	defer close(s.done)
+// worker runs queued jobs one at a time until Close or the hard context
+// ends it, then drains the queue and exits. After a hard cancel every job it
+// picks up is failed instead of run, so the queue still empties.
+func (s *Service) worker() {
 	for {
 		select {
-		case first := <-s.queue:
-			s.runBatch(s.collect(first))
+		case j := <-s.queue:
+			s.run(j)
 		case <-s.quit:
-			for {
-				select {
-				case j := <-s.queue:
-					s.runBatch(s.collect(j))
-				default:
-					return
-				}
-			}
+			s.drain()
+			return
 		case <-s.ctx.Done():
-			s.failQueued(context.Cause(s.ctx))
+			s.drain()
 			return
 		}
 	}
 }
 
-// collect coalesces jobs queued behind first into one batch: up to MaxBatch
-// jobs, waiting at most BatchWindow for stragglers (zero window takes only
-// what is already queued).
-func (s *Service) collect(first *job) []*job {
-	batch := append(make([]*job, 0, s.opts.MaxBatch), first)
-	var window <-chan time.Time
-	if s.opts.BatchWindow > 0 {
-		t := time.NewTimer(s.opts.BatchWindow)
-		defer t.Stop()
-		window = t.C
-	}
-	for len(batch) < s.opts.MaxBatch {
-		if window == nil {
-			select {
-			case j := <-s.queue:
-				batch = append(batch, j)
-			default:
-				return batch
-			}
-			continue
-		}
-		select {
-		case j := <-s.queue:
-			batch = append(batch, j)
-		case <-window:
-			return batch
-		case <-s.quit:
-			return batch
-		}
-	}
-	return batch
-}
-
-// runBatch fans one coalesced batch across the engine worker pool and
-// delivers each job's result as soon as it is computed. Jobs abandoned by a
-// hard cancellation are failed with the context's error.
-func (s *Service) runBatch(batch []*job) {
-	s.rec.Observe("spacx_serve_batch_size", float64(len(batch)))
-	s.rec.Count("spacx_serve_batches_total", 1)
-	s.rec.Gauge("spacx_serve_queue_depth", float64(len(s.queue)))
-	s.primeBatch(batch)
-	_ = engine.ForEachPhase(s.ctx, s.phase, s.opts.Workers, len(batch), func(i int) error {
-		j := batch[i]
-		j.qspan.End()
-		ectx, esp := tracing.StartSpan(j.ctx, "engine:compute")
-		body, err := s.execute(ectx, j.q)
-		esp.End()
-		j.delivered = true
-		s.finish(j, body, err)
-		return nil
-	})
-	for _, j := range batch {
-		if !j.delivered {
-			j.qspan.End()
-			s.finish(j, nil, context.Cause(s.ctx))
-		}
-	}
-}
-
-// failQueued fails every job still sitting in the queue with err — the
-// hard-shutdown path, where nothing more will be simulated.
-func (s *Service) failQueued(err error) {
+// drain runs (or, after a hard cancel, fails) every job left in the queue.
+func (s *Service) drain() {
 	for {
 		select {
 		case j := <-s.queue:
-			j.qspan.End()
-			s.finish(j, nil, err)
+			s.run(j)
 		default:
 			return
 		}
 	}
+}
+
+// run takes one job off the queue: it ends the job's queue wait, computes it
+// under an engine:compute span, and completes its flight. A job picked up
+// after the hard context is done is failed with the context's cause and not
+// run.
+func (s *Service) run(j *job) {
+	j.qspan.End()
+	s.rec.Gauge("spacx_serve_queue_depth", float64(len(s.queue)))
+	if s.ctx.Err() != nil {
+		s.finish(j, nil, context.Cause(s.ctx))
+		return
+	}
+	s.phase.Begin(1)
+	s.phase.PointStart()
+	ectx, esp := tracing.StartSpan(j.ctx, "engine:compute")
+	body, err := s.execute(ectx, j.q)
+	esp.End()
+	s.phase.PointDone()
+	s.phase.End()
+	s.finish(j, body, err)
 }
 
 // finish completes a job's flight and keeps the cache gauges current.
@@ -397,9 +338,7 @@ func (s *Service) finish(j *job, body []byte, err error) {
 // simulator (sim:model span); cancellation is not consulted here — an
 // admitted job always runs to completion so its result lands in the cache.
 func (s *Service) execute(ctx context.Context, q query) ([]byte, error) {
-	stop := s.rec.Time("spacx_serve_sim_seconds")
 	res, err := q.req.RunCtx(ctx, s.runLayer)
-	stop()
 	s.rec.Count("spacx_serve_engine_runs_total", 1)
 	if err != nil {
 		return nil, err

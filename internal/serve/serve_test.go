@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -154,7 +155,7 @@ func TestQueueOverflowRejectsWith429AndRetryAfter(t *testing.T) {
 		t.Fatalf("rejected counter = %v, want %d", got, overflow)
 	}
 
-	// Start the scheduler so the occupied job completes, then drain.
+	// Start the workers so the occupied job completes, then drain.
 	s.Start(context.Background())
 	rr := <-occupied
 	if rr.Code != http.StatusOK {
@@ -195,39 +196,146 @@ func TestCloseDrainsQueuedWorkThenRejects(t *testing.T) {
 	}
 }
 
-func TestHardCancelFailsWaiters(t *testing.T) {
-	s := New(Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+// check is one {name, got, want} assertion row; an error want matches
+// through errors.Is, anything else through reflect.DeepEqual.
+type check struct {
+	name      string
+	got, want any
+}
 
-	errc := make(chan error, 1)
-	go func() {
-		q, err := buildQuery(SimulateRequest{Model: "alexnet", Accel: "spacx", Mode: "whole", Batch: 1})
-		if err != nil {
-			errc <- err
-			return
+func runChecks(t *testing.T, rows []check) {
+	t.Helper()
+	for _, r := range rows {
+		ok := reflect.DeepEqual(r.got, r.want)
+		if werr, isErr := r.want.(error); isErr {
+			gerr, _ := r.got.(error)
+			ok = errors.Is(gerr, werr)
 		}
-		_, _, err = s.resolve(context.Background(), q)
-		errc <- err
-	}()
-	// Let the job enqueue, then start the scheduler on a dead context.
+		if !ok {
+			t.Errorf("%s: got %v, want %v", r.name, r.got, r.want)
+		}
+	}
+}
+
+// waiterResult is what one resolve call returned.
+type waiterResult struct {
+	body []byte
+	err  error
+}
+
+// distinctQueries builds n (<= 8) queries with pairwise distinct cache keys.
+func distinctQueries(t *testing.T, n int) []query {
+	t.Helper()
+	var qs []query
+	for _, accel := range []string{"spacx", "simba"} {
+		for _, mode := range []string{"whole", "layer"} {
+			for _, batch := range []int{1, 2} {
+				q, err := buildQuery(SimulateRequest{Model: "alexnet", Accel: accel, Mode: mode, Batch: batch})
+				if err != nil {
+					t.Fatal(err)
+				}
+				qs = append(qs, q)
+			}
+		}
+	}
+	return qs[:n]
+}
+
+// enqueueWaiters resolves every query on its own goroutine against a
+// service that has not been started, and returns once all of them sit in
+// the admission queue. Each waiter's result arrives on its own channel.
+func enqueueWaiters(t *testing.T, s *Service, qs []query) []chan waiterResult {
+	t.Helper()
+	out := make([]chan waiterResult, len(qs))
+	for i, q := range qs {
+		out[i] = make(chan waiterResult, 1)
+		go func(q query, c chan waiterResult) {
+			body, _, err := s.resolve(context.Background(), q)
+			c <- waiterResult{body, err}
+		}(q, out[i])
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for len(s.queue) == 0 {
+	for len(s.queue) < len(qs) {
 		if time.Now().After(deadline) {
-			t.Fatal("job never reached the queue")
+			t.Fatalf("only %d of %d jobs reached the queue", len(s.queue), len(qs))
 		}
 		time.Sleep(time.Millisecond)
 	}
-	s.Start(ctx)
+	return out
+}
+
+func waitResult(t *testing.T, c chan waiterResult) waiterResult {
+	t.Helper()
 	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("waiter error = %v, want context.Canceled", err)
-		}
+	case r := <-c:
+		return r
 	case <-time.After(10 * time.Second):
-		t.Fatal("waiter never released after hard cancel")
+		t.Fatal("waiter never released")
+		return waiterResult{}
 	}
-	<-s.done
+}
+
+// TestCloseDrainsQueuedJobs queues distinct jobs before the pool starts and
+// closes it at once: every queued job must still run to completion, with the
+// scalar simulator's bytes, whatever the worker count.
+func TestCloseDrainsQueuedJobs(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s := New(Options{Workers: workers})
+			qs := distinctQueries(t, 8)
+			waiters := enqueueWaiters(t, s, qs)
+			s.Start(context.Background())
+			s.Close()
+
+			var rows []check
+			for i, q := range qs {
+				res, err := q.req.Run(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := encodeSimulateResponse(q, res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := waitResult(t, waiters[i])
+				rows = append(rows,
+					check{fmt.Sprintf("waiter %d error", i), got.err, nil},
+					check{fmt.Sprintf("waiter %d body", i), string(got.body), string(want)})
+			}
+			rows = append(rows, check{"queue length after Close", len(s.queue), 0})
+			runChecks(t, rows)
+		})
+	}
+}
+
+// TestHardCancelFailsWaiters starts the pool on a dead context with jobs
+// already queued: none of them may run, every waiter gets the cancellation,
+// and the pool still shuts down.
+func TestHardCancelFailsWaiters(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			reg := obs.NewRegistry(nil)
+			s := New(Options{Workers: workers, Recorder: reg})
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			waiters := enqueueWaiters(t, s, distinctQueries(t, 6))
+			s.Start(ctx)
+
+			var rows []check
+			for i, w := range waiters {
+				rows = append(rows, check{fmt.Sprintf("waiter %d error", i), waitResult(t, w).err, context.Canceled})
+			}
+			select {
+			case <-s.done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("workers never exited after hard cancel")
+			}
+			rows = append(rows,
+				check{"queue length after cancel", len(s.queue), 0},
+				check{"engine runs", reg.Counter("spacx_serve_engine_runs_total"), 0.0})
+			runChecks(t, rows)
+		})
+	}
 }
 
 func TestSimulateValidation(t *testing.T) {

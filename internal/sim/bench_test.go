@@ -54,50 +54,3 @@ func BenchmarkRunModelNop(b *testing.B) {
 		}
 	}
 }
-
-// sweepBatchPoints is a realistic capacity study: every ResNet-50 layer
-// under both residency modes across a GB-capacity ladder. Each (layer)
-// cohort holds 16 points (2 modes x 8 capacities) that share one mapping.
-func sweepBatchPoints() []Point {
-	m := dnn.ResNet50()
-	pts := make([]Point, 0, len(m.Layers)*16)
-	for _, l := range m.Layers {
-		for _, mode := range []Mode{LayerByLayer, WholeInference} {
-			for gbKB := 512; gbKB <= 64*1024; gbKB *= 2 {
-				acc := SPACXAccel()
-				acc.Arch.GBBytes = gbKB * 1024
-				pts = append(pts, Point{Accel: acc, Layer: l, Mode: mode})
-			}
-		}
-	}
-	return pts
-}
-
-// BenchmarkSweepBatch measures the batched structure-of-arrays kernel on the
-// capacity-study sweep; BenchmarkSweepScalar is the same point set through
-// the scalar kernel. The ratio is the cohort-hoisting win.
-func BenchmarkSweepBatch(b *testing.B) {
-	pts := sweepBatchPoints()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunBatch(pts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(pts)), "points")
-}
-
-func BenchmarkSweepScalar(b *testing.B) {
-	pts := sweepBatchPoints()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range pts {
-			if _, err := RunLayer(p.Accel, p.Layer, p.Mode); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(len(pts)), "points")
-}

@@ -43,11 +43,19 @@ func (r Request) batched() dnn.Model {
 	return m
 }
 
-// Points expands the request into the batch kernel's sweep points: one per
+// Point is one layer evaluation of a request: a layer instance on an
+// accelerator under a residency mode — exactly the argument triple of
+// RunLayer.
+type Point struct {
+	Accel Accelerator
+	Layer dnn.Layer
+	Mode  Mode
+}
+
+// Points expands the request into its per-layer evaluations: one Point per
 // layer of the batched model, in layer order, all sharing the request's
-// accelerator and residency mode. Schedulers use it to collect the distinct
-// layer evaluations a queue of requests will need and prime them through
-// RunBatch before the per-request aggregation runs.
+// accelerator and residency mode. Run evaluates exactly these points, so
+// callers can replay or attribute a request layer by layer.
 func (r Request) Points() []Point {
 	m := r.batched()
 	pts := make([]Point, len(m.Layers))

@@ -60,6 +60,29 @@ func TestRequestBatchMatchesWithBatch(t *testing.T) {
 	}
 }
 
+// TestRequestPointsMatchRun pins the Points contract: the expansion lists
+// exactly the layer evaluations Run asks its runner for, in order.
+func TestRequestPointsMatchRun(t *testing.T) {
+	r := Request{Accel: SPACXAccel(), Model: dnn.AlexNet(), Mode: LayerByLayer, Batch: 4}
+	var seen []Point
+	if _, err := r.Run(func(acc Accelerator, l dnn.Layer, mode Mode) (LayerResult, error) {
+		seen = append(seen, Point{Accel: acc, Layer: l, Mode: mode})
+		return RunLayer(acc, l, mode)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	pts := r.Points()
+	if len(pts) != len(seen) {
+		t.Fatalf("Points() has %d entries, Run evaluated %d layers", len(pts), len(seen))
+	}
+	for i, p := range pts {
+		if p.Layer != seen[i].Layer || p.Mode != seen[i].Mode || p.Accel.Name() != seen[i].Accel.Name() {
+			t.Fatalf("point %d = (%s, %v), Run evaluated (%s, %v)",
+				i, p.Layer.Name, p.Mode, seen[i].Layer.Name, seen[i].Mode)
+		}
+	}
+}
+
 func TestRequestValidateRejectsNegativeBatch(t *testing.T) {
 	r := Request{Accel: SPACXAccel(), Model: dnn.AlexNet(), Mode: WholeInference, Batch: -1}
 	if _, err := r.Run(nil); err == nil {

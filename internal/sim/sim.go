@@ -128,9 +128,7 @@ func RunLayerObserved(acc Accelerator, l dnn.Layer, mode Mode, rec obs.Recorder)
 	r := LayerResult{Layer: l, Profile: p}
 	r.ComputeSec = float64(p.VectorSteps) / acc.Arch.ClockHz
 
-	// Fold flows into the overlappable pools. The pooling arithmetic lives
-	// in dataflow.MeasureFlows, shared with the batch kernel's cohort
-	// prelude so the scalar and batched paths cannot drift apart.
+	// Fold flows into the overlappable pools (dataflow.MeasureFlows).
 	fc := dataflow.MeasureFlows(net, p.Flows)
 	r.InputSec, r.OutputSec, r.NetDynamic = fc.InputSec, fc.OutputSec, fc.Dynamic
 	r.FlowSecs = fc.Times
