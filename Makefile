@@ -69,6 +69,8 @@ cover:
 fuzz:
 	go test ./internal/dataflow -run '^$$' -fuzz FuzzTiling -fuzztime=10s
 	go test ./internal/serve -run '^$$' -fuzz FuzzSimulateRequest -fuzztime=10s
+	go test ./internal/serve -run '^$$' -fuzz FuzzSweepRequest -fuzztime=10s
+	go test ./internal/serve -run '^$$' -fuzz FuzzThermalRequest -fuzztime=10s
 	go test ./internal/serve/fabric -run '^$$' -fuzz FuzzLeaseRequest -fuzztime=10s
 	go test ./internal/serve/fabric -run '^$$' -fuzz FuzzResultUpload -fuzztime=10s
 

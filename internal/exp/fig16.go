@@ -52,7 +52,7 @@ func loadFor(acc sim.Accelerator, m dnn.Model) (fig16Load, error) {
 	out.broadcast = caps.CrossChipletBroadcast || caps.SingleChipletBroadcast
 	var injected, received int64
 	for _, l := range m.Layers {
-		r, err := runLayerCached(acc, l, sim.WholeInference)
+		r, err := layerMemo.Run(acc, l, sim.WholeInference)
 		if err != nil {
 			return fig16Load{}, err
 		}
@@ -143,29 +143,21 @@ func buildNetwork(s *eventsim.Sim, acc sim.Accelerator) (func(int) []*eventsim.S
 }
 
 // packetKey identifies one deterministic event-simulation run: the full
-// accelerator configuration (geometry and network fingerprint — the station
-// pipeline is a pure function of these), the model (name plus a hash of
-// every layer field, since the injected traffic derives from the layers),
-// and the packet budget and seed. Identical keys replay the identical event
-// schedule and drain identical statistics.
+// accelerator configuration (the station pipeline is a pure function of
+// it), the model (name plus a hash of every layer field, since the injected
+// traffic derives from the layers), and the packet budget and seed.
+// Identical keys replay the identical event schedule and drain identical
+// statistics.
 type packetKey struct {
-	arch     string
-	net      string
-	flow     string
-	m, n     int
-	vecWidth int
-	clockHz  float64
-	peBuf    int
-	gb       int
-	gef, gk  int
-	model    string
-	layers   uint64
-	packets  int
-	seed     uint64
+	sim.AccelKey
+	model   string
+	layers  uint64
+	packets int
+	seed    uint64
 }
 
 func packetKeyFor(acc sim.Accelerator, m dnn.Model, packets int, seed uint64) (packetKey, bool) {
-	fp, ok := network.FingerprintOf(acc.Arch.Net)
+	ak, ok := acc.Key()
 	if !ok {
 		return packetKey{}, false
 	}
@@ -184,15 +176,7 @@ func packetKeyFor(acc sim.Accelerator, m dnn.Model, packets int, seed uint64) (p
 			word(int64(v))
 		}
 	}
-	return packetKey{
-		arch: acc.Arch.Name, net: fp, flow: acc.Flow.Name(),
-		m: acc.Arch.M, n: acc.Arch.N,
-		vecWidth: acc.Arch.VectorWidth, clockHz: acc.Arch.ClockHz,
-		peBuf: acc.Arch.PEBufBytes, gb: acc.Arch.GBBytes,
-		gef: acc.Arch.GEF, gk: acc.Arch.GK,
-		model: m.Name, layers: h.Sum64(),
-		packets: packets, seed: seed,
-	}, true
+	return packetKey{AccelKey: ak, model: m.Name, layers: h.Sum64(), packets: packets, seed: seed}, true
 }
 
 // packetCache memoizes drained event-simulation statistics. Stats is a flat

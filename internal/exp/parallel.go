@@ -6,7 +6,6 @@ import (
 
 	"spacx/internal/dnn"
 	"spacx/internal/exp/engine"
-	"spacx/internal/network"
 	"spacx/internal/sim"
 )
 
@@ -31,86 +30,72 @@ func SetParallelism(n int) {
 // Parallelism reports the current driver worker count.
 func Parallelism() int { return parallelism }
 
-// layerKey identifies one memoizable layer evaluation: the accelerator
-// configuration (architecture geometry, buffer sizes, dataflow, and the
-// network fingerprint), the layer shape, and the residency mode. Every field
-// that can change a LayerResult is part of the key.
-type layerKey struct {
-	arch     string
-	net      string
-	flow     string
-	m, n     int
-	vecWidth int
-	clockHz  float64
-	peBuf    int
-	gb       int
-	gef, gk  int
-	layer    dnn.Layer
-	mode     sim.Mode
+// layerMemoMax bounds every LayerMemo. Past it the memo is dropped
+// wholesale and rebuilt, which keeps a long-running server's memory flat at
+// the cost of occasional recomputation; a full report memoizes about 10k
+// entries, so the bound never triggers there.
+const layerMemoMax = 65536
+
+// LayerMemo memoizes a deterministic sim.LayerRunner on sim.LayerKey, so
+// every (accelerator, layer, mode) point is evaluated once. The figure grids
+// revisit such points many times (Fig 13 and Fig 15 share models, the
+// adaptive study re-runs every layer on 16 granularities, Fig 16's load
+// derivation replays whole models), and distinct serve queries share them
+// too. Results are deterministic, so sharing them is invisible in the
+// output. Cached LayerResults are shared shallowly — callers must not
+// mutate them. A LayerMemo is safe for concurrent use.
+type LayerMemo struct {
+	run   sim.LayerRunner
+	max   int
+	cache engine.Cache[sim.LayerKey, sim.LayerResult]
 }
 
-func keyFor(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (layerKey, bool) {
-	fp, ok := network.FingerprintOf(acc.Arch.Net)
+// NewLayerMemo memoizes run.
+func NewLayerMemo(run sim.LayerRunner) *LayerMemo {
+	return &LayerMemo{run: run, max: layerMemoMax}
+}
+
+// Run is the memoized runner; its signature is sim.LayerRunner's.
+// Accelerators whose network model has no fingerprint are evaluated
+// directly (never cached).
+func (m *LayerMemo) Run(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerResult, error) {
+	ak, ok := acc.Key()
 	if !ok {
-		return layerKey{}, false
+		return m.run(acc, l, mode)
 	}
-	return layerKey{
-		arch: acc.Arch.Name, net: fp, flow: acc.Flow.Name(),
-		m: acc.Arch.M, n: acc.Arch.N,
-		vecWidth: acc.Arch.VectorWidth, clockHz: acc.Arch.ClockHz,
-		peBuf: acc.Arch.PEBufBytes, gb: acc.Arch.GBBytes,
-		gef: acc.Arch.GEF, gk: acc.Arch.GK,
-		layer: l, mode: mode,
-	}, true
+	if m.cache.Len() > m.max {
+		m.cache.Reset()
+	}
+	return m.cache.Do(sim.LayerKey{Accel: ak, Layer: l, Mode: mode}, func() (sim.LayerResult, error) {
+		return m.run(acc, l, mode)
+	})
 }
 
-// layerCache memoizes analytical layer evaluations across drivers: the
-// figure grids revisit the same (accelerator, layer, mode) points many times
-// (Fig 13 and Fig 15 share models, the adaptive study re-runs every layer on
-// 16 granularities, Fig 16's load derivation replays whole models). Results
-// are deterministic, so sharing them is invisible in the output. Cached
-// LayerResults are shared shallowly — drivers must not mutate them.
-var layerCache engine.Cache[layerKey, sim.LayerResult]
+// Len reports how many layer evaluations are memoized.
+func (m *LayerMemo) Len() int { return m.cache.Len() }
 
-// detailedCache memoizes epoch-pipelined detailed-engine evaluations, which
-// EngineAgreement pairs with the analytical ones.
-var detailedCache engine.Cache[layerKey, sim.LayerResult]
+// Reset drops every memoized evaluation.
+func (m *LayerMemo) Reset() { m.cache.Reset() }
+
+// The process-wide memos every driver evaluates through: the analytical
+// engine, and the epoch-pipelined detailed engine EngineAgreement pairs
+// with it.
+var (
+	layerMemo    = NewLayerMemo(sim.RunLayer)
+	detailedMemo = NewLayerMemo(sim.RunLayerDetailed)
+)
 
 // ResetCaches drops all memoized layer and packet-simulation evaluations.
 // Tests use it to time cold sweeps and to prove parallel == sequential from
 // a cold start.
 func ResetCaches() {
-	layerCache.Reset()
-	detailedCache.Reset()
+	layerMemo.Reset()
+	detailedMemo.Reset()
 	packetCache.Reset()
 }
 
 // CacheSize reports how many layer evaluations are currently memoized.
-func CacheSize() int { return layerCache.Len() + detailedCache.Len() }
-
-// runLayerCached is the memoized sim.RunLayer every driver grid uses.
-// Accelerators whose network model has no fingerprint are evaluated
-// directly (never cached).
-func runLayerCached(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerResult, error) {
-	k, ok := keyFor(acc, l, mode)
-	if !ok {
-		return sim.RunLayer(acc, l, mode)
-	}
-	return layerCache.Do(k, func() (sim.LayerResult, error) {
-		return sim.RunLayer(acc, l, mode)
-	})
-}
-
-// runLayerDetailedCached is the memoized sim.RunLayerDetailed.
-func runLayerDetailedCached(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerResult, error) {
-	k, ok := keyFor(acc, l, mode)
-	if !ok {
-		return sim.RunLayerDetailed(acc, l, mode)
-	}
-	return detailedCache.Do(k, func() (sim.LayerResult, error) {
-		return sim.RunLayerDetailed(acc, l, mode)
-	})
-}
+func CacheSize() int { return layerMemo.Len() + detailedMemo.Len() }
 
 // layerWrap optionally wraps the memoized layer evaluator every driver
 // aggregates through — the seam the thermal co-simulation uses to derate
@@ -128,7 +113,7 @@ func SetLayerWrap(w func(sim.LayerRunner) sim.LayerRunner) { layerWrap = w }
 // aggregation goes through sim.RunVia, so results are bit-identical to
 // sim.Run.
 func runModelCached(acc sim.Accelerator, m dnn.Model, mode sim.Mode) (sim.ModelResult, error) {
-	runner := sim.LayerRunner(runLayerCached)
+	runner := sim.LayerRunner(layerMemo.Run)
 	if layerWrap != nil {
 		runner = layerWrap(runner)
 	}

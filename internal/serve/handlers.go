@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"sync"
 
-	"spacx/internal/network"
 	"spacx/internal/obs"
 	"spacx/internal/obs/tracing"
 )
@@ -262,10 +261,10 @@ func (s *Service) expandSweep(req *SweepRequest) ([]query, []SweepPoint, error) 
 		for _, accel := range req.Accels {
 			for _, mode := range req.Modes {
 				for _, batch := range req.Batches {
-					sr, err := decodeSimulateRequest(mustJSON(SimulateRequest{
+					sr, err := validateSimulateRequest(SimulateRequest{
 						Model: model, Accel: accel, Mode: mode, Batch: batch,
 						LossBudgetDB: req.LossBudgetDB,
-					}), s.opts.MaxRequestBatch)
+					}, s.opts.MaxRequestBatch)
 					if err != nil {
 						return nil, nil, fmt.Errorf("point (%s, %s, %s, %d): %w",
 							model, accel, mode, batch, err)
@@ -286,8 +285,8 @@ func (s *Service) expandSweep(req *SweepRequest) ([]query, []SweepPoint, error) 
 	return queries, points, nil
 }
 
-// mustJSON re-encodes a request struct for the shared decoder's validation
-// path; the struct is always encodable.
+// mustJSON encodes a struct that is always encodable, such as a fabric
+// point's SimulateRequest spec.
 func mustJSON(v any) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -314,7 +313,7 @@ func (s *Service) handleModels(w http.ResponseWriter, r *http.Request) {
 		out = append(out, ModelInfo{
 			Name:      e.Name,
 			Canonical: e.Canonical,
-			Layers:    len(e.build().Layers),
+			Layers:    len(e.model().Layers),
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -339,11 +338,10 @@ func (s *Service) handleAccelerators(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]AccelInfo, 0, len(accelCatalog))
 	for _, e := range accelCatalog {
-		acc := e.build()
-		fp, _ := network.FingerprintOf(acc.Arch.Net)
-		info := AccelInfo{Name: e.Name, Description: e.Description, Fingerprint: fp}
-		if loss, ok := e.lossDB(); ok {
-			info.LossDB = &loss
+		ra := e.resolve()
+		info := AccelInfo{Name: e.Name, Description: e.Description, Fingerprint: ra.fp}
+		if ra.hasLoss {
+			info.LossDB = &ra.lossDB
 		}
 		out = append(out, info)
 	}

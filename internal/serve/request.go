@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"spacx/internal/dnn"
 	"spacx/internal/network"
@@ -58,31 +59,55 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// Catalog entries are resolved once, lazily on first use (sync.OnceValue),
+// so startup builds nothing and a request builds nothing. What they hand out
+// is shared by every request and must be treated as read-only;
+// sim.Request applies a batch to a copy of the model's layers.
+
 // modelEntry is one catalog model.
 type modelEntry struct {
 	Name      string // request alias
 	Canonical string // paper name
-	build     func() dnn.Model
+	model     func() dnn.Model
 }
 
 // modelCatalog lists every servable model, evaluation benchmarks first.
 var modelCatalog = []modelEntry{
-	{Name: "resnet50", Canonical: "ResNet-50", build: dnn.ResNet50},
-	{Name: "vgg16", Canonical: "VGG-16", build: dnn.VGG16},
-	{Name: "densenet201", Canonical: "DenseNet-201", build: dnn.DenseNet201},
-	{Name: "efficientnetb7", Canonical: "EfficientNet-B7", build: dnn.EfficientNetB7},
-	{Name: "alexnet", Canonical: "AlexNet", build: dnn.AlexNet},
-	{Name: "mobilenetv2", Canonical: "MobileNetV2", build: dnn.MobileNetV2},
+	{Name: "resnet50", Canonical: "ResNet-50", model: sync.OnceValue(dnn.ResNet50)},
+	{Name: "vgg16", Canonical: "VGG-16", model: sync.OnceValue(dnn.VGG16)},
+	{Name: "densenet201", Canonical: "DenseNet-201", model: sync.OnceValue(dnn.DenseNet201)},
+	{Name: "efficientnetb7", Canonical: "EfficientNet-B7", model: sync.OnceValue(dnn.EfficientNetB7)},
+	{Name: "alexnet", Canonical: "AlexNet", model: sync.OnceValue(dnn.AlexNet)},
+	{Name: "mobilenetv2", Canonical: "MobileNetV2", model: sync.OnceValue(dnn.MobileNetV2)},
 }
 
 // accelEntry is one catalog accelerator.
 type accelEntry struct {
 	Name        string
 	Description string
-	build       func() sim.Accelerator
-	// lossDB reports the worst-case optical insertion loss, ok=false for
+	resolve     func() resolvedAccel
+}
+
+// resolvedAccel is a built catalog accelerator with everything a request
+// derives from it.
+type resolvedAccel struct {
+	acc sim.Accelerator
+	fp  string // network fingerprint; "" when the network has none
+	// lossDB is the worst-case optical insertion loss; hasLoss is false for
 	// accelerators without a photonic loss model.
-	lossDB func() (float64, bool)
+	lossDB  float64
+	hasLoss bool
+}
+
+// newAccelEntry builds a catalog entry resolved on first use from the
+// accelerator constructor and its loss model.
+func newAccelEntry(name, desc string, build func() sim.Accelerator, loss func() (float64, bool)) accelEntry {
+	return accelEntry{Name: name, Description: desc, resolve: sync.OnceValue(func() resolvedAccel {
+		r := resolvedAccel{acc: build()}
+		r.fp, _ = network.FingerprintOf(r.acc.Arch.Net)
+		r.lossDB, r.hasLoss = loss()
+		return r
+	})}
 }
 
 // spacxWorstCaseLoss is the worst-case cross-chiplet channel loss of the
@@ -99,30 +124,18 @@ func noLoss() (float64, bool) { return 0, false }
 
 // accelCatalog lists every servable accelerator, paper order.
 var accelCatalog = []accelEntry{
-	{
-		Name:        "spacx",
-		Description: "SPACX: hierarchical photonic network, broadcast OS dataflow, bandwidth allocation on",
-		build:       sim.SPACXAccel,
-		lossDB:      spacxWorstCaseLoss,
-	},
-	{
-		Name:        "spacx-noba",
-		Description: "SPACX with the flexible bandwidth-allocation scheme disabled",
-		build:       sim.SPACXAccelNoBA,
-		lossDB:      spacxWorstCaseLoss,
-	},
-	{
-		Name:        "simba",
-		Description: "Simba: all-electrical meshes, weight-stationary dataflow",
-		build:       sim.SimbaAccel,
-		lossDB:      noLoss,
-	},
-	{
-		Name:        "popstar",
-		Description: "POPSTAR: photonic package crossbar, electrical chiplet meshes, WS dataflow",
-		build:       sim.POPSTARAccel,
-		lossDB:      noLoss,
-	},
+	newAccelEntry("spacx",
+		"SPACX: hierarchical photonic network, broadcast OS dataflow, bandwidth allocation on",
+		sim.SPACXAccel, spacxWorstCaseLoss),
+	newAccelEntry("spacx-noba",
+		"SPACX with the flexible bandwidth-allocation scheme disabled",
+		sim.SPACXAccelNoBA, spacxWorstCaseLoss),
+	newAccelEntry("simba",
+		"Simba: all-electrical meshes, weight-stationary dataflow",
+		sim.SimbaAccel, noLoss),
+	newAccelEntry("popstar",
+		"POPSTAR: photonic package crossbar, electrical chiplet meshes, WS dataflow",
+		sim.POPSTARAccel, noLoss),
 }
 
 func modelByName(name string) (modelEntry, bool) {
@@ -159,6 +172,13 @@ func decodeSimulateRequest(data []byte, maxBatch int) (SimulateRequest, error) {
 	if dec.More() {
 		return SimulateRequest{}, fmt.Errorf("trailing data after request object")
 	}
+	return validateSimulateRequest(req, maxBatch)
+}
+
+// validateSimulateRequest applies decodeSimulateRequest's field checks to an
+// already decoded request and returns it normalized. /v1/sweep validates
+// each grid point through it.
+func validateSimulateRequest(req SimulateRequest, maxBatch int) (SimulateRequest, error) {
 	if req.Model == "" {
 		return SimulateRequest{}, fmt.Errorf("missing required field %q", "model")
 	}
@@ -209,29 +229,27 @@ type query struct {
 func buildQuery(req SimulateRequest) (query, error) {
 	me, _ := modelByName(req.Model)
 	ae, _ := accelByName(req.Accel)
-	acc := ae.build()
-	mode := sim.WholeInference
-	if req.Mode == "layer" {
-		mode = sim.LayerByLayer
-	}
-	fp, ok := network.FingerprintOf(acc.Arch.Net)
-	if !ok {
+	ra := ae.resolve()
+	if ra.fp == "" {
 		// Catalog networks all fingerprint; a non-fingerprinting one would
 		// defeat result caching, so refuse to guess.
 		return query{}, fmt.Errorf("accelerator %q has no network fingerprint", req.Accel)
 	}
-	loss, hasLoss := ae.lossDB()
+	mode := sim.WholeInference
+	if req.Mode == "layer" {
+		mode = sim.LayerByLayer
+	}
 	q := query{
 		wire: req,
 		req: sim.Request{
-			Accel: acc,
-			Model: me.build(),
+			Accel: ra.acc,
+			Model: me.model(),
 			Mode:  mode,
 			Batch: req.Batch,
 		},
-		key:     fp + "|" + ae.Name + "|" + me.Name + "|" + req.Mode + "|" + strconv.Itoa(req.Batch),
-		lossDB:  loss,
-		hasLoss: hasLoss,
+		key:     ra.fp + "|" + ae.Name + "|" + me.Name + "|" + req.Mode + "|" + strconv.Itoa(req.Batch),
+		lossDB:  ra.lossDB,
+		hasLoss: ra.hasLoss,
 	}
 	return q, nil
 }

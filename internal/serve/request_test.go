@@ -2,8 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"spacx/internal/dnn"
+	"spacx/internal/exp"
+	"spacx/internal/sim"
 )
 
 func TestDecodeSimulateRequestNormalizes(t *testing.T) {
@@ -94,15 +101,17 @@ func TestEncodeSimulateResponseDeterministic(t *testing.T) {
 
 func TestCatalogsBuild(t *testing.T) {
 	for _, e := range modelCatalog {
-		m := e.build()
-		if len(m.Layers) == 0 {
+		if len(e.model().Layers) == 0 {
 			t.Errorf("model %s builds empty", e.Name)
 		}
 	}
 	for _, e := range accelCatalog {
-		acc := e.build()
-		if acc.Arch.Net == nil {
+		ra := e.resolve()
+		if ra.acc.Arch.Net == nil {
 			t.Errorf("accelerator %s builds without a network", e.Name)
+		}
+		if ra.fp == "" {
+			t.Errorf("accelerator %s has no network fingerprint", e.Name)
 		}
 		if _, err := buildQuery(SimulateRequest{Model: "alexnet", Accel: e.Name, Mode: "whole", Batch: 1}); err != nil {
 			t.Errorf("accelerator %s does not resolve: %v", e.Name, err)
@@ -111,6 +120,73 @@ func TestCatalogsBuild(t *testing.T) {
 	if loss, ok := spacxWorstCaseLoss(); !ok || loss <= 0 {
 		t.Errorf("spacx worst-case loss = %v, %v; want positive", loss, ok)
 	}
+}
+
+// buildQuery must construct nothing per request: EfficientNet-B7 has about
+// ten times AlexNet's layers, so any per-call model or network build would
+// show up as a difference in allocations.
+func TestBuildQueryAllocsIndependentOfModel(t *testing.T) {
+	allocs := func(model string) float64 {
+		req := SimulateRequest{Model: model, Accel: "spacx", Mode: "whole", Batch: 1}
+		return testing.AllocsPerRun(100, func() {
+			if _, err := buildQuery(req); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs("alexnet"), allocs("efficientnetb7")
+	if small != large {
+		t.Fatalf("buildQuery allocs/op: alexnet %v, efficientnetb7 %v; want equal", small, large)
+	}
+}
+
+// Every catalog (model, accel, mode) pair resolved concurrently — through
+// the lazily built catalog entries and one shared service layer memo — must
+// be bit-identical to an unmemoized run on freshly constructed presets.
+func TestConcurrentCatalogResolutionMatchesFreshPresets(t *testing.T) {
+	fresh := map[string]func() sim.Accelerator{
+		"spacx":      sim.SPACXAccel,
+		"spacx-noba": sim.SPACXAccelNoBA,
+		"simba":      sim.SimbaAccel,
+		"popstar":    sim.POPSTARAccel,
+	}
+	s := New(Options{})
+	var wg sync.WaitGroup
+	for _, me := range modelCatalog {
+		for _, ae := range accelCatalog {
+			for mode, simMode := range map[string]sim.Mode{"whole": sim.WholeInference, "layer": sim.LayerByLayer} {
+				req := SimulateRequest{Model: me.Name, Accel: ae.Name, Mode: mode, Batch: 1}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					q, err := buildQuery(req)
+					if err != nil {
+						t.Errorf("%+v: %v", req, err)
+						return
+					}
+					got, err := q.req.Run(s.layers.Run)
+					if err != nil {
+						t.Errorf("%+v: %v", req, err)
+						return
+					}
+					m, err := dnn.ByName(req.Model)
+					if err != nil {
+						t.Errorf("%+v: %v", req, err)
+						return
+					}
+					want, err := sim.Request{Accel: fresh[req.Accel](), Model: m, Mode: simMode, Batch: 1}.Run(nil)
+					if err != nil {
+						t.Errorf("%+v: %v", req, err)
+						return
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%+v: memoized catalog result differs from a fresh unmemoized run", req)
+					}
+				}()
+			}
+		}
+	}
+	wg.Wait()
 }
 
 // FuzzSimulateRequest drives the /v1/simulate decoder with arbitrary bytes:
@@ -155,6 +231,91 @@ func FuzzSimulateRequest(f *testing.F) {
 		}
 		if err := q.req.Validate(); err != nil {
 			t.Fatalf("accepted request fails sim validation: %v", err)
+		}
+	})
+}
+
+// FuzzSweepRequest drives the /v1/sweep decoder and grid expansion with
+// arbitrary bytes: they must return a clean error (never panic), and every
+// accepted point's query must carry the cache key buildQuery derives for
+// that point on its own.
+func FuzzSweepRequest(f *testing.F) {
+	f.Add([]byte(`{"models": ["alexnet"], "accels": ["spacx"]}`))
+	f.Add([]byte(`{"models": ["alexnet", "vgg16"], "accels": ["spacx", "simba"], "modes": ["whole", "layer"], "batches": [1, 4]}`))
+	f.Add([]byte(`{"models": ["resnet50"], "accels": ["popstar"], "modes": [""], "batches": [0], "loss_budget_db": 2.5}`))
+	f.Add([]byte(`{"models": ["lenet"], "accels": ["spacx"]}`))
+	f.Add([]byte(`{"models": ["alexnet"], "accels": ["spacx"], "batches": [-1, 257]}`))
+	f.Add([]byte(`{"models": ["alexnet"], "accels": ["spacx"], "loss_budget_db": -1}`))
+	f.Add([]byte(`{"models": [], "accels": []}`))
+	f.Add([]byte(`{"models": ["alexnet"], "accels": ["spacx"]} trailing`))
+	f.Add([]byte(`{"grid": true}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(``))
+	s := New(Options{MaxSweepPoints: 16})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		run, err := s.PrepareSweep(data)
+		if err != nil {
+			return
+		}
+		if run.Len() == 0 || run.Len() > 16 || len(run.queries) != run.Len() {
+			t.Fatalf("accepted sweep has %d points and %d queries (cap 16)", run.Len(), len(run.queries))
+		}
+		for i, pt := range run.points {
+			want, err := buildQuery(SimulateRequest{
+				Model: pt.Model, Accel: pt.Accel, Mode: pt.Mode, Batch: pt.Batch,
+				LossBudgetDB: run.req.LossBudgetDB,
+			})
+			if err != nil {
+				t.Fatalf("accepted point %+v does not build a query: %v", pt, err)
+			}
+			if got := run.queries[i]; got.key != want.key || got.wire != want.wire {
+				t.Fatalf("point %d: query %q %+v, buildQuery gives %q %+v", i, got.key, got.wire, want.key, want.wire)
+			}
+		}
+	})
+}
+
+// FuzzThermalRequest drives the /v1/thermal decoder with arbitrary bytes: it
+// must return a clean error (never panic), and anything it accepts must be
+// normalized, finite, and within the step and simulated-time caps.
+func FuzzThermalRequest(f *testing.F) {
+	f.Add([]byte(`{"model": "alexnet"}`))
+	f.Add([]byte(`{"model": "resnet50", "mode": "layer", "profile": "bursty", "seed": 7, "steps": 40, "step_sec": 0.5, "feedback": false}`))
+	f.Add([]byte(`{"model": "alexnet", "steps": 10, "step_sec": 1e999}`))
+	f.Add([]byte(`{"model": "alexnet", "steps": 10, "step_sec": -0}`))
+	f.Add([]byte(`{"model": "alexnet", "steps": 40, "step_sec": 100000}`))
+	f.Add([]byte(`{"model": "alexnet", "steps": 9223372036854775807}`))
+	f.Add([]byte(`{"model": "nope", "profile": "diurnal"}`))
+	f.Add([]byte(`{"model": "alexnet"} {}`))
+	f.Add([]byte(`{"bogus": 1}`))
+	f.Add([]byte(``))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxSteps = 40
+		req, err := decodeThermalRequest(data, maxSteps)
+		if err != nil {
+			return
+		}
+		if _, ok := modelByName(req.Model); !ok {
+			t.Fatalf("accepted unknown model %q", req.Model)
+		}
+		if req.Mode != "whole" && req.Mode != "layer" {
+			t.Fatalf("accepted unnormalized mode %q", req.Mode)
+		}
+		known := false
+		for _, p := range exp.Profiles() {
+			known = known || req.Profile == p
+		}
+		if !known {
+			t.Fatalf("accepted unknown profile %q", req.Profile)
+		}
+		if req.Steps < 1 || req.Steps > maxSteps {
+			t.Fatalf("accepted out-of-range steps %d", req.Steps)
+		}
+		if math.IsNaN(req.StepSec) || math.IsInf(req.StepSec, 0) || req.StepSec <= 0 {
+			t.Fatalf("accepted non-positive or non-finite step_sec %g", req.StepSec)
+		}
+		if simSec := float64(req.Steps) * req.StepSec; simSec > maxThermalSimSec {
+			t.Fatalf("accepted %g simulated seconds, cap is %d", simSec, maxThermalSimSec)
 		}
 	})
 }

@@ -19,9 +19,10 @@
 //   - Worker pool: Workers goroutines drain the admission queue, each
 //     running one job at a time to completion, so a slow query occupies
 //     only the worker running it.
-//   - Layer memoization: inside a simulation, per-layer evaluations are
-//     memoized exactly like the experiment drivers', so distinct queries
-//     that share (accelerator, layer, mode) points share the work.
+//   - Layer memoization: inside a simulation, per-layer evaluations go
+//     through an exp.LayerMemo — the type the experiment drivers memoize
+//     with — so distinct queries that share (accelerator, layer, mode)
+//     points share the work.
 //
 // Lifecycle: Start launches the worker pool under a context; Close stops
 // admission, drains every queued job, and returns once every worker has
@@ -37,9 +38,8 @@ import (
 	"sync"
 	"time"
 
-	"spacx/internal/dnn"
+	"spacx/internal/exp"
 	"spacx/internal/exp/engine"
-	"spacx/internal/network"
 	"spacx/internal/obs"
 	"spacx/internal/obs/flightrec"
 	"spacx/internal/obs/tracing"
@@ -58,9 +58,6 @@ type Options struct {
 	QueueDepth int
 	// CacheEntries is the response LRU capacity (<= 0 means 512).
 	CacheEntries int
-	// LayerCacheMax bounds the per-layer memoization cache; when exceeded
-	// the memo is dropped wholesale and rebuilt (<= 0 means 65536 entries).
-	LayerCacheMax int
 	// MaxRequestBatch is the largest accepted per-request batch size
 	// (<= 0 means 256).
 	MaxRequestBatch int
@@ -104,9 +101,6 @@ func (o Options) withDefaults() Options {
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 512
 	}
-	if o.LayerCacheMax <= 0 {
-		o.LayerCacheMax = 65536
-	}
 	if o.MaxRequestBatch <= 0 {
 		o.MaxRequestBatch = 256
 	}
@@ -138,7 +132,7 @@ type Service struct {
 	phase *engine.Phase
 
 	cache  *resultCache
-	layers engine.Cache[layerKey, sim.LayerResult]
+	layers *exp.LayerMemo
 	queue  chan *job
 
 	ctx      context.Context
@@ -163,6 +157,7 @@ func New(opts Options) *Service {
 		rec:      opts.Recorder,
 		phase:    opts.Progress.Phase("serve"),
 		cache:    newResultCache(opts.CacheEntries),
+		layers:   exp.NewLayerMemo(sim.RunLayer),
 		queue:    make(chan *job, opts.QueueDepth),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -338,61 +333,10 @@ func (s *Service) finish(j *job, body []byte, err error) {
 // simulator (sim:model span); cancellation is not consulted here — an
 // admitted job always runs to completion so its result lands in the cache.
 func (s *Service) execute(ctx context.Context, q query) ([]byte, error) {
-	res, err := q.req.RunCtx(ctx, s.runLayer)
+	res, err := q.req.RunCtx(ctx, s.layers.Run)
 	s.rec.Count("spacx_serve_engine_runs_total", 1)
 	if err != nil {
 		return nil, err
 	}
 	return encodeSimulateResponse(q, res)
-}
-
-// layerKey identifies one memoizable layer evaluation, mirroring the
-// experiment drivers' memoization: every field that can change a
-// LayerResult — the architecture geometry, buffer sizes, dataflow, network
-// fingerprint, layer shape (batch included), and residency mode — is part
-// of the key.
-type layerKey struct {
-	arch     string
-	net      string
-	flow     string
-	m, n     int
-	vecWidth int
-	clockHz  float64
-	peBuf    int
-	gb       int
-	gef, gk  int
-	layer    dnn.Layer
-	mode     sim.Mode
-}
-
-func keyForLayer(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (layerKey, bool) {
-	fp, ok := network.FingerprintOf(acc.Arch.Net)
-	if !ok {
-		return layerKey{}, false
-	}
-	return layerKey{
-		arch: acc.Arch.Name, net: fp, flow: acc.Flow.Name(),
-		m: acc.Arch.M, n: acc.Arch.N,
-		vecWidth: acc.Arch.VectorWidth, clockHz: acc.Arch.ClockHz,
-		peBuf: acc.Arch.PEBufBytes, gb: acc.Arch.GBBytes,
-		gef: acc.Arch.GEF, gk: acc.Arch.GK,
-		layer: l, mode: mode,
-	}, true
-}
-
-// runLayer is the memoized sim.RunLayer shared by every query. The memo is
-// epoch-bounded: past LayerCacheMax entries it is dropped wholesale, which
-// keeps a long-running server's memory flat at the cost of occasional
-// recomputation.
-func (s *Service) runLayer(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerResult, error) {
-	k, ok := keyForLayer(acc, l, mode)
-	if !ok {
-		return sim.RunLayer(acc, l, mode)
-	}
-	if s.layers.Len() > s.opts.LayerCacheMax {
-		s.layers.Reset()
-	}
-	return s.layers.Do(k, func() (sim.LayerResult, error) {
-		return sim.RunLayer(acc, l, mode)
-	})
 }

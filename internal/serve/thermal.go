@@ -99,10 +99,12 @@ func decodeThermalRequest(data []byte, maxSteps int) (ThermalRequest, error) {
 // handleThermal answers POST /v1/thermal by running the closed-loop
 // thermal replay synchronously. Replays are bounded (MaxThermalSteps steps,
 // maxThermalSimSec simulated seconds) and cheap — one analytical model
-// evaluation plus an RC integration — so they bypass the admission queue; the layer memoization underneath is shared
-// and concurrency-safe. Throttle and saturation transitions land on the
-// service's flight recorder when one is mounted (-fabric), so they show up
-// on /fleet/events.
+// evaluation plus an RC integration — so they bypass the admission queue.
+// The model evaluation goes through exp's process-wide layer memo, not the
+// service's, so thermal replays and /v1/simulate queries do not share layer
+// results; both memos are concurrency-safe. Throttle and saturation
+// transitions land on the service's flight recorder when one is mounted
+// (-fabric), so they show up on /fleet/events.
 func (s *Service) handleThermal(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "use POST")
@@ -128,7 +130,7 @@ func (s *Service) handleThermal(w http.ResponseWriter, r *http.Request) {
 		feedback = *req.Feedback
 	}
 	rep, err := exp.ThermalReplay(exp.ThermalReplayConfig{
-		Model:    me.build(),
+		Model:    me.model(),
 		Mode:     mode,
 		Profile:  req.Profile,
 		Seed:     req.Seed,
