@@ -80,21 +80,25 @@ bench:
 
 # The benchmark-trajectory harness: the suites behind the committed
 # BENCH_<area>.json baselines. eventsim covers the event-loop hot path;
-# sim covers the analytical layer path plus the two headline drivers.
+# sim covers the analytical layer path plus the two headline drivers; serve
+# covers one uncached query through the service, per request.
 BENCH_EVENTSIM_CMD = go test -run=NONE -bench=. -benchmem -benchtime=200ms ./internal/eventsim/
 BENCH_SIM_CMD = { go test -run=NONE -bench=. -benchmem -benchtime=200ms ./internal/sim/; \
 	go test -run=NONE -bench='Fig16LatencyThroughput|SingleLayerSPACX' -benchmem -benchtime=200ms .; }
+BENCH_SERVE_CMD = go test -run=NONE -bench=. -benchmem -benchtime=200ms ./internal/serve/
 
 # Regenerate the committed baselines after a deliberate performance change.
 bench-json:
 	$(BENCH_EVENTSIM_CMD) | go run ./cmd/spacx-bench -area eventsim -out BENCH_eventsim.json
 	$(BENCH_SIM_CMD) | go run ./cmd/spacx-bench -area sim -out BENCH_sim.json
+	$(BENCH_SERVE_CMD) | go run ./cmd/spacx-bench -area serve -out BENCH_serve.json
 
 # Compare a fresh run against the committed baselines: ns/op drift warns
 # (machine-dependent), allocs/op regressions fail (machine-independent).
 bench-check:
 	$(BENCH_EVENTSIM_CMD) | go run ./cmd/spacx-bench -area eventsim -compare BENCH_eventsim.json
 	$(BENCH_SIM_CMD) | go run ./cmd/spacx-bench -area sim -compare BENCH_sim.json
+	$(BENCH_SERVE_CMD) | go run ./cmd/spacx-bench -area serve -compare BENCH_serve.json
 
 # Regenerate the golden experiment snapshots after a deliberate change.
 golden:

@@ -36,7 +36,7 @@ func EngineAgreement() ([]EngineRow, error) {
 	type pair struct{ a, d float64 }
 	pairs, err := mapPoints("engines", len(tasks), func(i int) (pair, error) {
 		l := tasks[i].layer
-		a, err := layerMemo.Run(acc, l, sim.WholeInference)
+		a, err := analyticalMemo.Run(acc, l, sim.WholeInference)
 		if err != nil {
 			return pair{}, err
 		}

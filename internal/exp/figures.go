@@ -42,7 +42,7 @@ func Fig13And14() ([]LayerRow, error) {
 	}
 	results, err := mapPoints("fig13", len(layers)*len(accs), func(i int) (sim.LayerResult, error) {
 		l, acc := layers[i/len(accs)], accs[i%len(accs)]
-		r, err := layerMemo.Run(acc, l, sim.LayerByLayer)
+		r, err := analyticalMemo.Run(acc, l, sim.LayerByLayer)
 		if err != nil {
 			return sim.LayerResult{}, fmt.Errorf("exp: fig13 %s on %s: %w", l.Name, acc.Name(), err)
 		}

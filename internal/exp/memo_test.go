@@ -9,10 +9,10 @@ import (
 	"spacx/internal/sim"
 )
 
-// A LayerMemo pushed past its bound drops its entries and keeps answering
+// A layerMemo pushed past its bound drops its entries and keeps answering
 // with results identical to the unmemoized runner.
 func TestLayerMemoBoundResetsAndMatchesRunLayer(t *testing.T) {
-	m := NewLayerMemo(sim.RunLayer)
+	m := newLayerMemo(sim.RunLayer)
 	m.max = 3
 	acc := sim.SPACXAccel()
 	resets := 0
@@ -50,7 +50,7 @@ func TestLayerMemoRunsUnfingerprintedUncached(t *testing.T) {
 	acc := sim.SPACXAccel()
 	acc.Arch.Net = unfingerprinted{acc.Arch.Net}
 	l := dnn.AlexNet().Layers[0]
-	m := NewLayerMemo(sim.RunLayer)
+	m := newLayerMemo(sim.RunLayer)
 	got, err := m.Run(acc, l, sim.WholeInference)
 	if err != nil {
 		t.Fatal(err)

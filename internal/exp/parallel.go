@@ -30,35 +30,35 @@ func SetParallelism(n int) {
 // Parallelism reports the current driver worker count.
 func Parallelism() int { return parallelism }
 
-// layerMemoMax bounds every LayerMemo. Past it the memo is dropped
+// layerMemoMax bounds every layerMemo. Past it the memo is dropped
 // wholesale and rebuilt, which keeps a long-running server's memory flat at
-// the cost of occasional recomputation; a full report memoizes about 10k
-// entries, so the bound never triggers there.
+// the cost of occasional recomputation (/v1/thermal evaluates through
+// analyticalMemo); a full report memoizes about 10k entries, so the bound
+// never triggers there.
 const layerMemoMax = 65536
 
-// LayerMemo memoizes a deterministic sim.LayerRunner on sim.LayerKey, so
+// layerMemo memoizes a deterministic sim.LayerRunner on sim.LayerKey, so
 // every (accelerator, layer, mode) point is evaluated once. The figure grids
 // revisit such points many times (Fig 13 and Fig 15 share models, the
 // adaptive study re-runs every layer on 16 granularities, Fig 16's load
-// derivation replays whole models), and distinct serve queries share them
-// too. Results are deterministic, so sharing them is invisible in the
-// output. Cached LayerResults are shared shallowly — callers must not
-// mutate them. A LayerMemo is safe for concurrent use.
-type LayerMemo struct {
+// derivation replays whole models). Results are deterministic, so sharing
+// them is invisible in the output. Cached LayerResults are shared shallowly
+// — callers must not mutate them. A layerMemo is safe for concurrent use.
+type layerMemo struct {
 	run   sim.LayerRunner
 	max   int
 	cache engine.Cache[sim.LayerKey, sim.LayerResult]
 }
 
-// NewLayerMemo memoizes run.
-func NewLayerMemo(run sim.LayerRunner) *LayerMemo {
-	return &LayerMemo{run: run, max: layerMemoMax}
+// newLayerMemo memoizes run.
+func newLayerMemo(run sim.LayerRunner) *layerMemo {
+	return &layerMemo{run: run, max: layerMemoMax}
 }
 
 // Run is the memoized runner; its signature is sim.LayerRunner's.
 // Accelerators whose network model has no fingerprint are evaluated
 // directly (never cached).
-func (m *LayerMemo) Run(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerResult, error) {
+func (m *layerMemo) Run(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerResult, error) {
 	ak, ok := acc.Key()
 	if !ok {
 		return m.run(acc, l, mode)
@@ -72,30 +72,30 @@ func (m *LayerMemo) Run(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.La
 }
 
 // Len reports how many layer evaluations are memoized.
-func (m *LayerMemo) Len() int { return m.cache.Len() }
+func (m *layerMemo) Len() int { return m.cache.Len() }
 
 // Reset drops every memoized evaluation.
-func (m *LayerMemo) Reset() { m.cache.Reset() }
+func (m *layerMemo) Reset() { m.cache.Reset() }
 
 // The process-wide memos every driver evaluates through: the analytical
 // engine, and the epoch-pipelined detailed engine EngineAgreement pairs
 // with it.
 var (
-	layerMemo    = NewLayerMemo(sim.RunLayer)
-	detailedMemo = NewLayerMemo(sim.RunLayerDetailed)
+	analyticalMemo = newLayerMemo(sim.RunLayer)
+	detailedMemo   = newLayerMemo(sim.RunLayerDetailed)
 )
 
 // ResetCaches drops all memoized layer and packet-simulation evaluations.
 // Tests use it to time cold sweeps and to prove parallel == sequential from
 // a cold start.
 func ResetCaches() {
-	layerMemo.Reset()
+	analyticalMemo.Reset()
 	detailedMemo.Reset()
 	packetCache.Reset()
 }
 
 // CacheSize reports how many layer evaluations are currently memoized.
-func CacheSize() int { return layerMemo.Len() + detailedMemo.Len() }
+func CacheSize() int { return analyticalMemo.Len() + detailedMemo.Len() }
 
 // layerWrap optionally wraps the memoized layer evaluator every driver
 // aggregates through — the seam the thermal co-simulation uses to derate
@@ -113,7 +113,7 @@ func SetLayerWrap(w func(sim.LayerRunner) sim.LayerRunner) { layerWrap = w }
 // aggregation goes through sim.RunVia, so results are bit-identical to
 // sim.Run.
 func runModelCached(acc sim.Accelerator, m dnn.Model, mode sim.Mode) (sim.ModelResult, error) {
-	runner := sim.LayerRunner(layerMemo.Run)
+	runner := sim.LayerRunner(analyticalMemo.Run)
 	if layerWrap != nil {
 		runner = layerWrap(runner)
 	}

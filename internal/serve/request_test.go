@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
@@ -140,51 +142,75 @@ func TestBuildQueryAllocsIndependentOfModel(t *testing.T) {
 	}
 }
 
-// Every catalog (model, accel, mode) pair resolved concurrently — through
-// the lazily built catalog entries and one shared service layer memo — must
-// be bit-identical to an unmemoized run on freshly constructed presets.
+// Every catalog (model, accel, mode) query served concurrently through the
+// production path — the lazily resolved catalog entries, buildQuery and
+// execute — must answer with exactly the aggregates of a run on freshly
+// constructed presets.
 func TestConcurrentCatalogResolutionMatchesFreshPresets(t *testing.T) {
-	fresh := map[string]func() sim.Accelerator{
-		"spacx":      sim.SPACXAccel,
-		"spacx-noba": sim.SPACXAccelNoBA,
-		"simba":      sim.SimbaAccel,
-		"popstar":    sim.POPSTARAccel,
+	fresh := map[string]struct {
+		build func() sim.Accelerator
+		loss  func() (float64, bool)
+	}{
+		"spacx":      {sim.SPACXAccel, spacxWorstCaseLoss},
+		"spacx-noba": {sim.SPACXAccelNoBA, spacxWorstCaseLoss},
+		"simba":      {sim.SimbaAccel, noLoss},
+		"popstar":    {sim.POPSTARAccel, noLoss},
 	}
 	s := New(Options{})
 	var wg sync.WaitGroup
-	for _, me := range modelCatalog {
-		for _, ae := range accelCatalog {
-			for mode, simMode := range map[string]sim.Mode{"whole": sim.WholeInference, "layer": sim.LayerByLayer} {
-				req := SimulateRequest{Model: me.Name, Accel: ae.Name, Mode: mode, Batch: 1}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					q, err := buildQuery(req)
-					if err != nil {
-						t.Errorf("%+v: %v", req, err)
-						return
-					}
-					got, err := q.req.Run(s.layers.Run)
-					if err != nil {
-						t.Errorf("%+v: %v", req, err)
-						return
-					}
-					m, err := dnn.ByName(req.Model)
-					if err != nil {
-						t.Errorf("%+v: %v", req, err)
-						return
-					}
-					want, err := sim.Request{Accel: fresh[req.Accel](), Model: m, Mode: simMode, Batch: 1}.Run(nil)
-					if err != nil {
-						t.Errorf("%+v: %v", req, err)
-						return
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%+v: memoized catalog result differs from a fresh unmemoized run", req)
-					}
-				}()
+	for _, req := range catalogRequests(1) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q, err := buildQuery(req)
+			if err != nil {
+				t.Errorf("%+v: %v", req, err)
+				return
 			}
-		}
+			body, err := s.execute(context.Background(), q)
+			if err != nil {
+				t.Errorf("%+v: %v", req, err)
+				return
+			}
+			var got SimulateResponse
+			if err := json.Unmarshal(body, &got); err != nil {
+				t.Errorf("%+v: decode body: %v", req, err)
+				return
+			}
+			m, err := dnn.ByName(req.Model)
+			if err != nil {
+				t.Errorf("%+v: %v", req, err)
+				return
+			}
+			mode := sim.WholeInference
+			if req.Mode == "layer" {
+				mode = sim.LayerByLayer
+			}
+			res, err := sim.Request{Accel: fresh[req.Accel].build(), Model: m, Mode: mode, Batch: req.Batch}.Run(nil)
+			if err != nil {
+				t.Errorf("%+v: %v", req, err)
+				return
+			}
+			want := SimulateResponse{
+				Model: req.Model, Accel: req.Accel, Mode: req.Mode, Batch: req.Batch,
+				Layers:         len(res.Layers),
+				ExecSec:        res.ExecSec,
+				ComputeSec:     res.ComputeSec,
+				CommSec:        res.CommSec,
+				TotalEnergyJ:   res.TotalEnergy,
+				ComputeEnergyJ: res.ComputeEnergy,
+				NetworkEnergyJ: res.NetworkEnergy,
+			}
+			for _, lr := range res.Layers {
+				want.DRAMBytes += lr.DRAMBytes * int64(lr.Layer.Repeat)
+			}
+			if loss, ok := fresh[req.Accel].loss(); ok {
+				want.WorstCaseLossDB = &loss
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%+v: served %+v, fresh presets give %+v", req, got, want)
+			}
+		}()
 	}
 	wg.Wait()
 }

@@ -2,7 +2,7 @@
 // stdlib-only HTTP surface that answers what-if queries (accelerator ×
 // model × residency mode × batch) from a shared, concurrency-safe
 // simulation core built on the pieces the CLIs already use — the experiment
-// engine's fan-out and fingerprint-keyed memoization, and the observability
+// engine's fan-out, the network fingerprint, and the observability
 // registry.
 //
 // Architecture, request path first:
@@ -19,10 +19,11 @@
 //   - Worker pool: Workers goroutines drain the admission queue, each
 //     running one job at a time to completion, so a slow query occupies
 //     only the worker running it.
-//   - Layer memoization: inside a simulation, per-layer evaluations go
-//     through an exp.LayerMemo — the type the experiment drivers memoize
-//     with — so distinct queries that share (accelerator, layer, mode)
-//     points share the work.
+//   - Evaluation: a job runs the analytical model straight through
+//     sim.RunLayer and keeps no per-layer state. One layer evaluates in
+//     about a microsecond, less than hashing and storing its key would
+//     cost, and batch and mode are part of that key, so distinct queries
+//     rarely share a layer anyway; repeats are the response LRU's job.
 //
 // Lifecycle: Start launches the worker pool under a context; Close stops
 // admission, drains every queued job, and returns once every worker has
@@ -38,7 +39,6 @@ import (
 	"sync"
 	"time"
 
-	"spacx/internal/exp"
 	"spacx/internal/exp/engine"
 	"spacx/internal/obs"
 	"spacx/internal/obs/flightrec"
@@ -131,9 +131,8 @@ type Service struct {
 	rec   obs.Recorder
 	phase *engine.Phase
 
-	cache  *resultCache
-	layers *exp.LayerMemo
-	queue  chan *job
+	cache *resultCache
+	queue chan *job
 
 	ctx      context.Context
 	quit     chan struct{}
@@ -157,7 +156,6 @@ func New(opts Options) *Service {
 		rec:      opts.Recorder,
 		phase:    opts.Progress.Phase("serve"),
 		cache:    newResultCache(opts.CacheEntries),
-		layers:   exp.NewLayerMemo(sim.RunLayer),
 		queue:    make(chan *job, opts.QueueDepth),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -328,12 +326,13 @@ func (s *Service) finish(j *job, body []byte, err error) {
 	s.rec.Gauge("spacx_serve_cache_entries", float64(s.cache.len()))
 }
 
-// execute runs one simulation through the memoized layer runner and encodes
-// the response body. ctx carries the admitting request's trace into the
-// simulator (sim:model span); cancellation is not consulted here — an
-// admitted job always runs to completion so its result lands in the cache.
+// execute runs one simulation, evaluating every layer with sim.RunLayer,
+// and encodes the response body. ctx carries the admitting request's trace
+// into the simulator (sim:model span); cancellation is not consulted here —
+// an admitted job always runs to completion so its result lands in the
+// cache.
 func (s *Service) execute(ctx context.Context, q query) ([]byte, error) {
-	res, err := q.req.RunCtx(ctx, s.layers.Run)
+	res, err := q.req.RunCtx(ctx, sim.RunLayer)
 	s.rec.Count("spacx_serve_engine_runs_total", 1)
 	if err != nil {
 		return nil, err

@@ -241,6 +241,80 @@ func distinctQueries(t *testing.T, n int) []query {
 	return qs[:n]
 }
 
+// catalogRequests lists every catalog (model, accel, mode) query at each
+// batch in 1..batches, batch outermost, so any run of consecutive entries
+// mixes the models evenly.
+func catalogRequests(batches int) []SimulateRequest {
+	var out []SimulateRequest
+	for batch := 1; batch <= batches; batch++ {
+		for _, me := range modelCatalog {
+			for _, ae := range accelCatalog {
+				for _, mode := range []string{"whole", "layer"} {
+					out = append(out, SimulateRequest{Model: me.Name, Accel: ae.Name, Mode: mode, Batch: batch})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestServiceRetainsNoLayerState runs hundreds of distinct queries through
+// execute: once they are answered, the service must hold nothing of them —
+// no per-layer results kept for queries that will not come again.
+func TestServiceRetainsNoLayerState(t *testing.T) {
+	reqs := catalogRequests(10)
+	qs := make([]query, len(reqs))
+	for i, req := range reqs {
+		q, err := buildQuery(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs[i] = q
+	}
+	s := New(Options{})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, q := range qs {
+		if _, err := s.execute(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	const limit = 4 << 20
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= limit {
+		t.Fatalf("%d distinct queries left the live heap %.1f MiB larger; want < %d MiB",
+			len(qs), float64(grew)/(1<<20), limit>>20)
+	}
+}
+
+// BenchmarkServiceExecuteMiss is the uncached serving path without HTTP:
+// buildQuery plus execute for catalog queries at batch 1..40, so no query
+// repeats within 1,920 iterations.
+func BenchmarkServiceExecuteMiss(b *testing.B) {
+	reqs := catalogRequests(40)
+	s := New(Options{})
+	for _, req := range catalogRequests(1) {
+		// Resolve every catalog entry before timing.
+		if _, err := buildQuery(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q, err := buildQuery(reqs[i%len(reqs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.execute(context.Background(), q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // enqueueWaiters resolves every query on its own goroutine against a
 // service that has not been started, and returns once all of them sit in
 // the admission queue. Each waiter's result arrives on its own channel.

@@ -100,9 +100,9 @@ func decodeThermalRequest(data []byte, maxSteps int) (ThermalRequest, error) {
 // thermal replay synchronously. Replays are bounded (MaxThermalSteps steps,
 // maxThermalSimSec simulated seconds) and cheap — one analytical model
 // evaluation plus an RC integration — so they bypass the admission queue.
-// The model evaluation goes through exp's process-wide layer memo, not the
-// service's, so thermal replays and /v1/simulate queries do not share layer
-// results; both memos are concurrency-safe. Throttle and saturation
+// The model evaluation goes through exp's process-wide layer memo, which is
+// concurrency-safe and bounded; /v1/simulate queries keep no layer state
+// and never touch it. Throttle and saturation
 // transitions land on the service's flight recorder when one is mounted
 // (-fabric), so they show up on /fleet/events.
 func (s *Service) handleThermal(w http.ResponseWriter, r *http.Request) {
