@@ -1,4 +1,6 @@
-# Convenience targets mirroring .github/workflows/ci.yml.
+# The CI workflow (.github/workflows/ci.yml) runs one step per target below;
+# `make ci` runs them all locally. Multi-command recipes run under `set -e`
+# so a failing command fails the target, not just the last one.
 
 .PHONY: ci fmt vet build test exp-race obs-race fabric-race thermal-race serve-smoke api-smoke cover fuzz bench bench-json bench-check golden
 
@@ -39,8 +41,10 @@ thermal-race:
 
 # End-to-end smoke of the live observability server and the run ledger:
 # serve a real run, scrape every endpoint, then check the appended record.
+# The metrics scrape comes last: it releases the draining server.
 serve-smoke:
-	@go build -o /tmp/spacx-report ./cmd/spacx-report; \
+	@set -e; \
+	go build -o /tmp/spacx-report ./cmd/spacx-report; \
 	rm -f /tmp/runs.jsonl; \
 	/tmp/spacx-report -only table1 -http 127.0.0.1:19793 -http-linger 10s -ledger /tmp/runs.jsonl >/dev/null & \
 	pid=$$!; \
@@ -61,7 +65,8 @@ api-smoke:
 	@./scripts/serve_smoke.sh
 
 cover:
-	@go test -coverprofile=cover.out ./... > /dev/null; \
+	@set -e; \
+	go test -coverprofile=cover.out ./... > /dev/null; \
 	total=$$(go tool cover -func=cover.out | tail -1 | awk '{print $$3}' | tr -d '%'); \
 	echo "total coverage: $$total% (baseline 80.0%)"; \
 	awk -v t="$$total" 'BEGIN { if (t + 0 < 80.0) { print "coverage below baseline"; exit 1 } }'

@@ -27,44 +27,24 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
 	"strings"
-	"syscall"
-	"time"
 
 	"spacx/internal/buildinfo"
+	"spacx/internal/cli"
 	"spacx/internal/exp"
-	"spacx/internal/exp/engine"
-	"spacx/internal/obs"
-	"spacx/internal/obs/ledger"
-	"spacx/internal/obs/server"
 	"spacx/internal/report"
 )
 
 type options struct {
+	cli.Flags
+
 	only    string
 	packets int
 	format  string
-	jobs    int
-
-	metrics    string
-	cpuProfile string
-	memProfile string
-	verbose    bool
-
-	httpAddr   string
-	httpLinger time.Duration
-	ledgerPath string
-	ledgerKeep int
-	progress   bool
-	regress    float64
-	version    bool
+	version bool
 }
 
 // artifacts is the set of -only values, in render order.
@@ -80,17 +60,7 @@ func main() {
 	flag.StringVar(&o.only, "only", "", "render one artifact: "+strings.Join(artifacts, ", "))
 	flag.IntVar(&o.packets, "fig16-packets", 20000, "packets per fig16 event-simulation run")
 	flag.StringVar(&o.format, "format", "text", "output format: text or csv (csv requires -only)")
-	flag.IntVar(&o.jobs, "j", runtime.NumCPU(), "number of parallel simulation workers")
-	flag.StringVar(&o.metrics, "metrics", "", "write a metrics snapshot to this path (Prometheus text format; .json extension switches to JSON)")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this path")
-	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this path on exit")
-	flag.BoolVar(&o.verbose, "v", false, "log structured per-point progress to stderr")
-	flag.StringVar(&o.httpAddr, "http", "", "serve live observability endpoints on this address (e.g. 127.0.0.1:9090)")
-	flag.DurationVar(&o.httpLinger, "http-linger", 2*time.Second, "keep the -http server up this long after the run for a final scrape")
-	flag.StringVar(&o.ledgerPath, "ledger", "", "append a JSON run record to this file (e.g. runs.jsonl)")
-	flag.IntVar(&o.ledgerKeep, "ledger-keep", 0, "on startup, prune the -ledger file to its newest N records, dropping schema-mismatched lines (0 disables)")
-	flag.BoolVar(&o.progress, "progress", false, "print a live progress line to stderr every second")
-	flag.Float64Var(&o.regress, "regress", 0, "report drivers slower than this ratio vs the previous -ledger record (0 disables)")
+	o.Flags.Register(flag.CommandLine)
 	flag.BoolVar(&o.version, "version", false, "print build info and exit")
 	flag.Parse()
 	o.only = strings.ToLower(o.only)
@@ -129,149 +99,12 @@ func run(o options) error {
 	if o.packets < 1 {
 		return fmt.Errorf("fig16-packets must be >= 1, got %d", o.packets)
 	}
-	if o.jobs < 1 {
-		return fmt.Errorf("-j must be >= 1, got %d", o.jobs)
-	}
-	if o.httpLinger < 0 {
-		return fmt.Errorf("-http-linger must be >= 0, got %v", o.httpLinger)
-	}
-	if o.regress < 0 {
-		return fmt.Errorf("-regress must be >= 0, got %v", o.regress)
-	}
-	if o.regress > 0 && o.ledgerPath == "" {
-		return fmt.Errorf("-regress needs -ledger to compare against")
-	}
-	if o.ledgerKeep < 0 {
-		return fmt.Errorf("-ledger-keep must be >= 0, got %d", o.ledgerKeep)
-	}
-	if o.ledgerKeep > 0 && o.ledgerPath == "" {
-		return fmt.Errorf("-ledger-keep needs -ledger to prune")
-	}
-	if o.ledgerKeep > 0 {
-		kept, dropped, err := ledger.Prune(o.ledgerPath, ledger.SchemaVersion, o.ledgerKeep)
-		if err != nil {
-			return fmt.Errorf("prune ledger: %w", err)
+	return cli.Run("spacx-report", o.only, o.Flags, func() error {
+		if o.format == "csv" {
+			return runCSV(os.Stdout, o.only, o.packets)
 		}
-		if dropped > 0 {
-			fmt.Fprintf(os.Stderr, "spacx-report: ledger pruned to %d records (%d dropped)\n", kept, dropped)
-		}
-	}
-	exp.SetParallelism(o.jobs)
-
-	// SIGINT/SIGTERM cancels the sweep: in-flight points are abandoned at
-	// the engine's next claim, and whatever was collected still flushes to
-	// -metrics and -ledger below.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	exp.SetContext(ctx)
-	defer exp.SetContext(nil)
-
-	stopProfiles, err := obs.StartProfiles(o.cpuProfile, o.memProfile)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, "spacx-report:", err)
-		}
-	}()
-
-	var reg *obs.Registry
-	if o.metrics != "" || o.verbose || o.httpAddr != "" || o.ledgerPath != "" {
-		reg = obs.NewRegistry(obs.NewLogger(os.Stderr, o.verbose))
-		exp.SetRecorder(reg)
-		defer exp.SetRecorder(nil)
-	}
-	var prog *engine.Progress
-	if o.httpAddr != "" || o.ledgerPath != "" || o.progress {
-		prog = engine.NewProgress()
-		exp.SetProgress(prog)
-		defer exp.SetProgress(nil)
-	}
-
-	var srv *server.Server
-	if o.httpAddr != "" {
-		srv, err = server.Start(o.httpAddr, server.Options{
-			Registry: reg,
-			Progress: prog,
-			Runs: func() ([]ledger.Record, error) {
-				if o.ledgerPath == "" {
-					return nil, nil
-				}
-				return ledger.Read(o.ledgerPath)
-			},
-		})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "observability: serving http://%s/ (metrics, progress, runs, pprof)\n", srv.Addr())
-	}
-	var sampler *ledger.Sampler
-	if o.ledgerPath != "" {
-		sampler = ledger.StartSampler(0)
-	}
-	stopTicker := func() {}
-	if o.progress {
-		stopTicker = prog.StartTicker(os.Stderr, time.Second)
-	}
-
-	var renderErr error
-	if o.format == "csv" {
-		renderErr = runCSV(os.Stdout, o.only, o.packets)
-	} else {
-		renderErr = runText(os.Stdout, o.only, o.packets)
-	}
-	stopTicker()
-	interrupted := errors.Is(renderErr, context.Canceled)
-	if renderErr != nil && !interrupted {
-		return renderErr
-	}
-	if interrupted {
-		fmt.Fprintln(os.Stderr, "spacx-report: interrupted; flushing metrics and ledger")
-	}
-
-	if o.verbose {
-		reg.LogSummary()
-	}
-	if o.metrics != "" {
-		if err := reg.WriteFile(o.metrics); err != nil {
-			return err
-		}
-		if o.metrics != "-" {
-			fmt.Fprintf(os.Stderr, "metrics written to %s\n", o.metrics)
-		}
-	}
-	if o.ledgerPath != "" {
-		rec := ledger.New("spacx-report", o.only, o.jobs)
-		rec.FillProgress(prog.Status())
-		rec.FillSnapshot(reg.Snapshot())
-		rec.PeakGoroutines, rec.PeakHeapBytes = sampler.Stop()
-		if o.regress > 0 {
-			prev, ok, err := ledger.Last(o.ledgerPath)
-			if err != nil {
-				return err
-			}
-			if ok {
-				fmt.Fprint(os.Stderr, ledger.Compare(prev, rec, o.regress).String())
-			}
-		}
-		if err := ledger.Append(o.ledgerPath, rec); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "run recorded to %s\n", o.ledgerPath)
-	}
-	if srv != nil {
-		// Keep serving the completed /progress, /runs, and final metrics
-		// until a scraper collects them or the linger window closes.
-		if err := srv.DrainAndShutdown(o.httpLinger, 200*time.Millisecond); err != nil {
-			fmt.Fprintln(os.Stderr, "spacx-report: observability server:", err)
-		}
-	}
-	if interrupted {
-		return renderErr
-	}
-	return nil
+		return runText(os.Stdout, o.only, o.packets)
+	})
 }
 
 func runText(w *os.File, only string, packets int) error {

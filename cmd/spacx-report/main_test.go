@@ -8,20 +8,21 @@ import (
 	"testing"
 	"time"
 
+	"spacx/internal/cli"
 	"spacx/internal/obs/ledger"
 )
 
 func TestRunRejectsBadInputs(t *testing.T) {
-	if err := run(options{only: "", packets: 100, format: "nosuchformat", jobs: 1}); err == nil {
+	if err := run(options{only: "", packets: 100, format: "nosuchformat", Flags: cli.Flags{Jobs: 1}}); err == nil {
 		t.Error("unknown format should fail")
 	}
-	if err := run(options{only: "nosuchartifact", packets: 100, format: "text", jobs: 1}); err == nil {
+	if err := run(options{only: "nosuchartifact", packets: 100, format: "text", Flags: cli.Flags{Jobs: 1}}); err == nil {
 		t.Error("unknown artifact should fail")
 	}
-	if err := run(options{only: "fig16", packets: 0, format: "text", jobs: 1}); err == nil {
+	if err := run(options{only: "fig16", packets: 0, format: "text", Flags: cli.Flags{Jobs: 1}}); err == nil {
 		t.Error("non-positive packet count should fail")
 	}
-	if err := run(options{only: "fig19", packets: 100, format: "text", jobs: 0}); err == nil {
+	if err := run(options{only: "fig19", packets: 100, format: "text", Flags: cli.Flags{Jobs: 0}}); err == nil {
 		t.Error("non-positive -j should fail")
 	}
 	if err := runCSV(os.Stdout, "", 100); err == nil {
@@ -34,20 +35,20 @@ func TestRunRejectsBadInputs(t *testing.T) {
 
 func TestBadArtifactFailsBeforeSideEffects(t *testing.T) {
 	dir := t.TempDir()
-	o := options{only: "nosuchartifact", packets: 100, format: "text", jobs: 1,
-		metrics: filepath.Join(dir, "m.prom")}
+	o := options{only: "nosuchartifact", packets: 100, format: "text",
+		Flags: cli.Flags{Jobs: 1, Metrics: filepath.Join(dir, "m.prom")}}
 	if err := run(o); err == nil {
 		t.Fatal("unknown artifact should fail")
 	}
-	if _, err := os.Stat(o.metrics); err == nil {
+	if _, err := os.Stat(o.Metrics); err == nil {
 		t.Error("metrics file was written despite the invalid -only")
 	}
 }
 
 func TestFig19MetricsSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	o := options{only: "fig19", packets: 100, format: "text", jobs: 1,
-		metrics: filepath.Join(dir, "m.prom")}
+	o := options{only: "fig19", packets: 100, format: "text",
+		Flags: cli.Flags{Jobs: 1, Metrics: filepath.Join(dir, "m.prom")}}
 
 	stdout := os.Stdout
 	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
@@ -63,7 +64,7 @@ func TestFig19MetricsSnapshot(t *testing.T) {
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(o.metrics)
+	b, err := os.ReadFile(o.Metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,20 +74,20 @@ func TestFig19MetricsSnapshot(t *testing.T) {
 }
 
 func TestObservabilityFlagValidation(t *testing.T) {
-	base := options{only: "table1", packets: 100, format: "text", jobs: 1}
+	base := options{only: "table1", packets: 100, format: "text", Flags: cli.Flags{Jobs: 1}}
 
 	o := base
-	o.httpLinger = -time.Second
+	o.HTTPLinger = -time.Second
 	if err := run(o); err == nil {
 		t.Error("negative -http-linger should fail")
 	}
 	o = base
-	o.regress = -1
+	o.Regress = -1
 	if err := run(o); err == nil {
 		t.Error("negative -regress should fail")
 	}
 	o = base
-	o.regress = 1.5
+	o.Regress = 1.5
 	if err := run(o); err == nil {
 		t.Error("-regress without -ledger should fail")
 	}
@@ -94,8 +95,8 @@ func TestObservabilityFlagValidation(t *testing.T) {
 
 func TestLedgerRecordsRun(t *testing.T) {
 	dir := t.TempDir()
-	o := options{only: "table1", packets: 100, format: "text", jobs: 2,
-		ledgerPath: filepath.Join(dir, "runs.jsonl")}
+	o := options{only: "table1", packets: 100, format: "text",
+		Flags: cli.Flags{Jobs: 2, LedgerPath: filepath.Join(dir, "runs.jsonl")}}
 
 	stdout := os.Stdout
 	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
@@ -112,12 +113,12 @@ func TestLedgerRecordsRun(t *testing.T) {
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
-	o.regress = 100 // generous: nothing should be flagged, only compared
+	o.Regress = 100 // generous: nothing should be flagged, only compared
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
 
-	recs, err := ledger.Read(o.ledgerPath)
+	recs, err := ledger.Read(o.LedgerPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestMetricsDashWritesStdout(t *testing.T) {
 	}
 	stdout := os.Stdout
 	os.Stdout = w
-	runErr := run(options{only: "table1", packets: 100, format: "text", jobs: 1, metrics: "-"})
+	runErr := run(options{only: "table1", packets: 100, format: "text", Flags: cli.Flags{Jobs: 1, Metrics: "-"}})
 	w.Close()
 	os.Stdout = stdout
 	out, readErr := io.ReadAll(r)
@@ -187,8 +188,8 @@ func TestHTTPServerRunsAndDrains(t *testing.T) {
 		null.Close()
 	}()
 
-	o := options{only: "table1", packets: 100, format: "text", jobs: 1,
-		httpAddr: "127.0.0.1:0", httpLinger: 10 * time.Millisecond}
+	o := options{only: "table1", packets: 100, format: "text",
+		Flags: cli.Flags{Jobs: 1, HTTPAddr: "127.0.0.1:0", HTTPLinger: 10 * time.Millisecond}}
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}

@@ -94,18 +94,6 @@ func parseAccel(name string) (spacx.Accelerator, error) {
 	}
 }
 
-// parseMode resolves the -mode enum.
-func parseMode(name string) (spacx.Mode, error) {
-	switch name {
-	case "whole":
-		return spacx.WholeInference, nil
-	case "layer":
-		return spacx.LayerByLayer, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (whole, layer)", name)
-	}
-}
-
 // validate fails fast on out-of-range or mutually inconsistent flags, before
 // any simulation work starts.
 func validate(o options) error {
@@ -138,7 +126,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	mode, err := parseMode(o.mode)
+	mode, err := sim.ParseMode(o.mode)
 	if err != nil {
 		return err
 	}

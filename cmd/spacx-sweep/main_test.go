@@ -7,11 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"spacx/internal/cli"
 	"spacx/internal/obs/ledger"
 )
 
 func opts(sweep, params string, m, n int) options {
-	return options{sweep: sweep, params: params, m: m, n: n, jobs: 1}
+	return options{sweep: sweep, params: params, m: m, n: n, Flags: cli.Flags{Jobs: 1}}
 }
 
 func TestRunRejectsBadInputs(t *testing.T) {
@@ -25,7 +26,7 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		t.Error("negative machine size should fail the sweep")
 	}
 	bad := opts("power", "moderate", 32, 32)
-	bad.jobs = 0
+	bad.Jobs = 0
 	if err := run(bad); err == nil {
 		t.Error("non-positive -j should fail")
 	}
@@ -34,11 +35,11 @@ func TestRunRejectsBadInputs(t *testing.T) {
 func TestBadSweepFailsBeforeSideEffects(t *testing.T) {
 	dir := t.TempDir()
 	o := opts("nosuchsweep", "moderate", 32, 32)
-	o.metrics = filepath.Join(dir, "m.prom")
+	o.Metrics = filepath.Join(dir, "m.prom")
 	if err := run(o); err == nil {
 		t.Fatal("unknown sweep should fail")
 	}
-	if _, err := os.Stat(o.metrics); err == nil {
+	if _, err := os.Stat(o.Metrics); err == nil {
 		t.Error("metrics file was written despite the invalid -sweep")
 	}
 }
@@ -46,7 +47,7 @@ func TestBadSweepFailsBeforeSideEffects(t *testing.T) {
 func TestPowerSweepWritesMetrics(t *testing.T) {
 	dir := t.TempDir()
 	o := opts("power", "moderate", 8, 8)
-	o.metrics = filepath.Join(dir, "m.prom")
+	o.Metrics = filepath.Join(dir, "m.prom")
 
 	// Silence the report table.
 	stdout := os.Stdout
@@ -63,7 +64,7 @@ func TestPowerSweepWritesMetrics(t *testing.T) {
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(o.metrics)
+	b, err := os.ReadFile(o.Metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +81,12 @@ func TestPowerSweepWritesMetrics(t *testing.T) {
 
 func TestObservabilityFlagValidation(t *testing.T) {
 	o := opts("power", "moderate", 8, 8)
-	o.httpLinger = -time.Second
+	o.HTTPLinger = -time.Second
 	if err := run(o); err == nil {
 		t.Error("negative -http-linger should fail")
 	}
 	o = opts("power", "moderate", 8, 8)
-	o.regress = 1.5
+	o.Regress = 1.5
 	if err := run(o); err == nil {
 		t.Error("-regress without -ledger should fail")
 	}
@@ -94,9 +95,9 @@ func TestObservabilityFlagValidation(t *testing.T) {
 func TestLedgerRecordsSweep(t *testing.T) {
 	dir := t.TempDir()
 	o := opts("power", "moderate", 8, 8)
-	o.ledgerPath = filepath.Join(dir, "runs.jsonl")
-	o.httpAddr = "127.0.0.1:0"
-	o.httpLinger = 10 * time.Millisecond
+	o.LedgerPath = filepath.Join(dir, "runs.jsonl")
+	o.HTTPAddr = "127.0.0.1:0"
+	o.HTTPLinger = 10 * time.Millisecond
 
 	stdout := os.Stdout
 	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
@@ -112,7 +113,7 @@ func TestLedgerRecordsSweep(t *testing.T) {
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
-	rec, ok, err := ledger.Last(o.ledgerPath)
+	rec, ok, err := ledger.Last(o.LedgerPath)
 	if err != nil || !ok {
 		t.Fatalf("no ledger record: ok=%v err=%v", ok, err)
 	}

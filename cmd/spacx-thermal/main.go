@@ -81,14 +81,9 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	var mode sim.Mode
-	switch o.mode {
-	case "whole":
-		mode = sim.WholeInference
-	case "layer":
-		mode = sim.LayerByLayer
-	default:
-		return fmt.Errorf("unknown mode %q (whole, layer)", o.mode)
+	mode, err := sim.ParseMode(o.mode)
+	if err != nil {
+		return err
 	}
 	if !o.capacity {
 		if _, err := exp.OfferedLoad(o.profile, o.seed, 1); err != nil {

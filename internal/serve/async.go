@@ -23,17 +23,13 @@ type SweepRun struct {
 	points  []SweepPoint
 }
 
-// PrepareSweep decodes and validates an async sweep body (the same JSON
-// shape as POST /v1/sweep) without resolving any point.
+// PrepareSweep decodes and validates a sweep body without resolving any
+// point. POST /v1/sweep and async sweep jobs (POST /v1/jobs) both decode
+// through it.
 func (s *Service) PrepareSweep(body []byte) (*SweepRun, error) {
 	var req SweepRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decode request: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("trailing data after request object")
+	if err := decodeStrict(body, &req); err != nil {
+		return nil, err
 	}
 	queries, points, err := s.expandSweep(&req)
 	if err != nil {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -201,18 +200,12 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "read request: %v", err)
 		return
 	}
-	var req SweepRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decode request: %v", err)
-		return
-	}
-	queries, points, err := s.expandSweep(&req)
+	run, err := s.PrepareSweep(data)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	queries, points := run.queries, run.points
 
 	var wg sync.WaitGroup
 	wg.Add(len(queries))

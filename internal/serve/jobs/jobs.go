@@ -15,8 +15,9 @@
 //
 // The package deliberately does not import the serving core: execution is
 // injected as a Prepare function returning a SweepRun, which internal/serve
-// implements on top of its cache/queue/batching pipeline. A job is also the
-// unit a future distributed sweep fabric shards across workers.
+// implements on top of its response cache, singleflight, admission queue,
+// and worker pool. A job is also the unit the distributed sweep fabric
+// (internal/serve/fabric) shards across workers.
 package jobs
 
 import (

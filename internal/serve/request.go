@@ -164,15 +164,25 @@ func accelByName(name string) (accelEntry, bool) {
 // becomes 1.
 func decodeSimulateRequest(data []byte, maxBatch int) (SimulateRequest, error) {
 	var req SimulateRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return SimulateRequest{}, fmt.Errorf("decode request: %w", err)
-	}
-	if dec.More() {
-		return SimulateRequest{}, fmt.Errorf("trailing data after request object")
+	if err := decodeStrict(data, &req); err != nil {
+		return SimulateRequest{}, err
 	}
 	return validateSimulateRequest(req, maxBatch)
+}
+
+// decodeStrict decodes one JSON object from data into v, rejecting unknown
+// fields and trailing data. The simulate, sweep (sync and async), and
+// thermal bodies all decode through it.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decode request: %w", err)
+	}
+	if dec.More() {
+		return fmt.Errorf("trailing data after request object")
+	}
+	return nil
 }
 
 // validateSimulateRequest applies decodeSimulateRequest's field checks to an
@@ -191,12 +201,11 @@ func validateSimulateRequest(req SimulateRequest, maxBatch int) (SimulateRequest
 	if _, ok := accelByName(req.Accel); !ok {
 		return SimulateRequest{}, fmt.Errorf("unknown accelerator %q (see /v1/accelerators)", req.Accel)
 	}
-	switch req.Mode {
-	case "":
+	if req.Mode == "" {
 		req.Mode = "whole"
-	case "whole", "layer":
-	default:
-		return SimulateRequest{}, fmt.Errorf("unknown mode %q (whole, layer)", req.Mode)
+	}
+	if _, err := sim.ParseMode(req.Mode); err != nil {
+		return SimulateRequest{}, err
 	}
 	if req.Batch == 0 {
 		req.Batch = 1
@@ -235,9 +244,9 @@ func buildQuery(req SimulateRequest) (query, error) {
 		// defeat result caching, so refuse to guess.
 		return query{}, fmt.Errorf("accelerator %q has no network fingerprint", req.Accel)
 	}
-	mode := sim.WholeInference
-	if req.Mode == "layer" {
-		mode = sim.LayerByLayer
+	mode, err := sim.ParseMode(req.Mode)
+	if err != nil {
+		return query{}, err
 	}
 	q := query{
 		wire: req,

@@ -578,6 +578,7 @@ func TestSweepValidation(t *testing.T) {
 		{"unknown model", `{"models": ["lenet"], "accels": ["spacx"]}`},
 		{"grid too large", `{"models": ["alexnet"], "accels": ["spacx"], "batches": [1,2,3,4,5]}`},
 		{"unknown field", `{"models": ["alexnet"], "accels": ["spacx"], "grid": true}`},
+		{"trailing data", `{"models":["alexnet"],"accels":["spacx"]} extra`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

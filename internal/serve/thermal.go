@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -49,13 +47,8 @@ type ThermalRequest struct {
 // returned request is normalized (defaults filled in).
 func decodeThermalRequest(data []byte, maxSteps int) (ThermalRequest, error) {
 	var req ThermalRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return ThermalRequest{}, fmt.Errorf("decode request: %w", err)
-	}
-	if dec.More() {
-		return ThermalRequest{}, fmt.Errorf("trailing data after request object")
+	if err := decodeStrict(data, &req); err != nil {
+		return ThermalRequest{}, err
 	}
 	if req.Model == "" {
 		return ThermalRequest{}, fmt.Errorf("missing required field %q", "model")
@@ -63,12 +56,11 @@ func decodeThermalRequest(data []byte, maxSteps int) (ThermalRequest, error) {
 	if _, ok := modelByName(req.Model); !ok {
 		return ThermalRequest{}, fmt.Errorf("unknown model %q (see /v1/models)", req.Model)
 	}
-	switch req.Mode {
-	case "":
+	if req.Mode == "" {
 		req.Mode = "whole"
-	case "whole", "layer":
-	default:
-		return ThermalRequest{}, fmt.Errorf("unknown mode %q (whole, layer)", req.Mode)
+	}
+	if _, err := sim.ParseMode(req.Mode); err != nil {
+		return ThermalRequest{}, err
 	}
 	switch req.Profile {
 	case "":
@@ -121,10 +113,7 @@ func (s *Service) handleThermal(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	me, _ := modelByName(req.Model)
-	mode := sim.WholeInference
-	if req.Mode == "layer" {
-		mode = sim.LayerByLayer
-	}
+	mode, _ := sim.ParseMode(req.Mode) // validated by decodeThermalRequest
 	feedback := true
 	if req.Feedback != nil {
 		feedback = *req.Feedback

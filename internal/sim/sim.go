@@ -32,6 +32,18 @@ const (
 	WholeInference
 )
 
+// ParseMode resolves a mode's flag and wire name: "whole" or "layer".
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "whole":
+		return WholeInference, nil
+	case "layer":
+		return LayerByLayer, nil
+	default:
+		return 0, fmt.Errorf("unknown mode %q (whole, layer)", name)
+	}
+}
+
 func (m Mode) String() string {
 	if m == LayerByLayer {
 		return "layer-by-layer"

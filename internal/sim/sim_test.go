@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +13,20 @@ import (
 func TestModeString(t *testing.T) {
 	if LayerByLayer.String() != "layer-by-layer" || WholeInference.String() != "whole-inference" {
 		t.Error("unexpected mode strings")
+	}
+}
+
+func TestParseMode(t *testing.T) {
+	for name, want := range map[string]Mode{"whole": WholeInference, "layer": LayerByLayer} {
+		if got, err := ParseMode(name); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "Whole", "layer-by-layer"} {
+		_, err := ParseMode(name)
+		if want := fmt.Sprintf("unknown mode %q (whole, layer)", name); err == nil || err.Error() != want {
+			t.Errorf("ParseMode(%q) error = %v, want %q", name, err, want)
+		}
 	}
 }
 
